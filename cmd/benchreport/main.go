@@ -236,8 +236,8 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 		// substrate (factorization fill/time vs. the dense inverse it
 		// replaced), the end-to-end economic exclusion screen, the LP
 		// warm-start re-dispatch ladder, and the Fig. 4(a) scenario sweep
-		// with the prescreen + LP warm starts toggled A/B (identical
-		// verdicts, different work).
+		// with LP warm starts toggled A/B (identical verdicts, different
+		// work).
 		sub, err := experiments.RunSparseSubstrate(names)
 		if err != nil {
 			return err
@@ -291,12 +291,12 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "Fig. 4(a) sweep A/B: prescreen + warm starts on vs. off (LP verification; verdicts identical)")
+		fmt.Fprintln(w, "Fig. 4(a) sweep A/B: warm starts on vs. off (LP verification; verdicts identical)")
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "case\tbuses\ton\toff\tpruned\tlp-solves\twarm-hits\tpivots-on\tpivots-off")
+		fmt.Fprintln(tw, "case\tbuses\ton\toff\tlp-solves\twarm-hits\tpivots-on\tpivots-off")
 		for _, r := range ab {
-			fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%d\t%d\t%d\t%d\t%d\n",
-				r.Case, r.Buses, r.On.Round(1e5), r.Off.Round(1e5), r.Pruned,
+			fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%d\t%d\t%d\t%d\n",
+				r.Case, r.Buses, r.On.Round(1e5), r.Off.Round(1e5),
 				r.LPOn.Solves, r.LPOn.WarmHits, r.LPOn.Pivots, r.LPOff.Pivots)
 		}
 		tw.Flush()
@@ -306,7 +306,7 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 		// Three tables behind BENCH_expr.json: the incremental Fig. 2
 		// threshold ladder (one shared candidate search; under SMT
 		// verification additionally assumption-based per-rung cost caps)
-		// against the cold one-Run-per-rung fallback under both
+		// against the naive sweep of one cold Run per rung under both
 		// verification modes (verdicts asserted identical on every rung no
 		// per-query budget interrupts), and the first incremental OPF
 		// feasibility probes on the 300-bus system.

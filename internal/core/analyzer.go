@@ -13,16 +13,11 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"gridattack/internal/attack"
-	"gridattack/internal/dist"
 	"gridattack/internal/grid"
 	"gridattack/internal/measure"
 	"gridattack/internal/opf"
@@ -67,8 +62,9 @@ type Analyzer struct {
 	Plan       *measure.Plan
 	Capability attack.Capability
 
-	// TargetIncreasePercent is the attacker's objective I: raise the
-	// generation cost by at least I% over the attack-free optimum.
+	// TargetIncreasePercent is the attacker's objective I for Run: raise
+	// the generation cost by at least I% over the attack-free optimum.
+	// RunLadder takes its targets as an argument instead.
 	TargetIncreasePercent float64
 
 	// OperatingDispatch is the pre-attack generation dispatch (the state
@@ -110,60 +106,40 @@ type Analyzer struct {
 	// process-wide with the GRIDATTACK_CERTIFY environment variable.
 	Certify bool
 
-	// NoPrescreen disables the LODF-based candidate prescreen (see
-	// prescreen.go). The prescreen only skips verifications whose failure it
-	// can certify with a concrete cheap dispatch, so verdicts are identical
-	// either way; the knob exists for A/B validation and benchmarking.
-	NoPrescreen bool
-
 	// NoIncremental forces the cold (assertion-based) SMT encoding path:
-	// under VerifySMT every verification model asserts its cost caps
-	// permanently instead of passing them as retractable assumptions, and
-	// RunLadder falls back to one independent full Run per rung instead of
-	// sharing the candidate search across rungs. Verdicts are identical either
-	// way (see DESIGN.md, "Expression layer & incremental search"); the knob
-	// exists for A/B validation, benchmarking, and as an escape hatch.
-	// Enabling Certify implies the cold path, because an unsat-under-
-	// assumptions verdict carries no checkable certificate.
+	// under VerifySMT each open rung gets its own verification model per
+	// candidate, which asserts its cost caps permanently, instead of one
+	// shared model per candidate that passes every rung's caps as
+	// retractable assumptions. The candidate search is shared across rungs
+	// either way, and verdicts are identical (see DESIGN.md, "Expression
+	// layer & incremental search"); the knob exists for A/B validation,
+	// benchmarking, and as an escape hatch. Under VerifyLP and VerifyShift
+	// it changes nothing but the journal fingerprint and cache key. Enabling
+	// Certify implies the cold path, because an unsat-under-assumptions
+	// verdict carries no checkable certificate.
 	NoIncremental bool
 
-	// CheckpointPath enables crash-resumable analysis: every completed
-	// find–verify iteration is appended (fsync'd, hash-chained) to this
-	// journal file. Re-running with the same configuration and path replays
-	// the journal — reusing the recorded verification verdicts — and resumes
-	// at the first incomplete iteration, producing verdicts identical to an
-	// uninterrupted run. Empty disables checkpointing.
+	// CheckpointPath enables crash-resumable analysis: every find–verify
+	// iteration — the candidate and its definitive per-rung outcomes — is
+	// appended (fsync'd, hash-chained) to this journal file, and a final
+	// record once every rung is Found or Exhausted. The header fingerprints
+	// the configuration including the whole threshold set. Re-running with
+	// the same configuration and path replays the journal, reusing the
+	// recorded verification outcomes, and resumes at the first incomplete
+	// iteration, producing verdicts identical to an uninterrupted run; a
+	// rung whose verification a budget cancelled is verified again. Empty
+	// disables checkpointing.
 	CheckpointPath string
 
-	// JournalObserver, when set together with CheckpointPath, receives every
-	// journal record in order: records replayed from an existing journal on
-	// resume first (including a finalized journal's, before the reconstructed
-	// report returns), then each new record as it is durably appended. The
-	// serve layer turns this stream into per-job progress events. The
-	// callback runs on the analysis goroutine and must not block for long.
+	// JournalObserver receives every journal record in order: records
+	// replayed from an existing journal on resume first (including a
+	// finalized journal's, before the reconstructed report returns), then
+	// each new record as it is durably appended. Without CheckpointPath it
+	// receives the records the engine would have journaled, with empty
+	// chain fields, and nothing is written. The serve layer turns this
+	// stream into per-job progress events. The callback runs on the
+	// analysis goroutine and must not block for long.
 	JournalObserver func(JournalRecord)
-}
-
-// statsAcc accumulates solver effort counters across one Run: the attack
-// model's solver lineage plus every OPF verification model. A mutex guards
-// it because verification models finish on worker goroutines under the
-// pipelined loop. It lives outside Analyzer so the Analyzer value stays
-// copyable (MaxAchievableIncrease passes it by value).
-type statsAcc struct {
-	mu sync.Mutex
-	st smt.Stats
-}
-
-func (a *statsAcc) add(st smt.Stats) {
-	a.mu.Lock()
-	a.st.Add(st)
-	a.mu.Unlock()
-}
-
-func (a *statsAcc) snapshot() smt.Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.st
 }
 
 // Report is the outcome of one analysis run.
@@ -184,8 +160,10 @@ type Report struct {
 	VerifyTime       time.Duration // cumulative OPF verification time
 	Elapsed          time.Duration
 
-	// PrescreenPruned counts candidate verifications skipped by the LODF
-	// prescreen (0 when it is disabled or never certified a failure).
+	// PrescreenPruned is kept for callers that read it.
+	//
+	// Deprecated: always 0. The analysis verifies every candidate; the
+	// LODF witness screen lives on only in ScreenExclusions.
 	PrescreenPruned int
 
 	// LPStats summarizes the warm-started LP work under VerifyLP: total
@@ -201,528 +179,12 @@ type Report struct {
 	SolverStats smt.Stats
 }
 
-// Run executes the Fig. 2 loop.
+// Run executes the Fig. 2 loop against the single target
+// TargetIncreasePercent: a one-rung RunLadder.
 func (a *Analyzer) Run() (*Report, error) {
-	start := time.Now()
-	if a.Grid == nil || a.Plan == nil {
-		return nil, fmt.Errorf("%w: grid and plan are required", ErrConfig)
-	}
-	if a.TargetIncreasePercent <= 0 {
-		return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)
-	}
-	maxIter := a.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-
-	trueTopo := a.Grid.TrueTopology()
-	base, err := opf.Solve(a.Grid, trueTopo, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: attack-free OPF: %w", err)
-	}
-	threshold := base.Cost * (1 + a.TargetIncreasePercent/100)
-
-	dispatch := a.OperatingDispatch
-	if dispatch == nil {
-		dispatch = base.Dispatch
-	}
-	pf, err := a.Grid.SolvePowerFlow(trueTopo, dispatch)
-	if err != nil {
-		return nil, fmt.Errorf("core: operating point: %w", err)
-	}
-
-	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
+	reps, err := a.RunLadder([]float64{a.TargetIncreasePercent})
 	if err != nil {
 		return nil, err
 	}
-	model.MaxConflicts = a.MaxConflicts
-	model.MaxDuration = a.QueryTimeout
-	model.MaxPivots = a.MaxPivots
-	model.Certify = a.Certify
-
-	var fac *dist.Factors
-	if a.Verify == VerifyShift {
-		fac, err = dist.New(a.Grid, trueTopo)
-		if err != nil {
-			return nil, fmt.Errorf("core: shift factors: %w", err)
-		}
-	}
-
-	var pre *prescreener
-	if !a.NoPrescreen {
-		pre = newPrescreener(a.Grid, fac, threshold, base)
-	}
-	var ws *opf.WarmSolver
-	if a.Verify == 0 || a.Verify == VerifyLP {
-		ws = opf.NewWarmSolver(a.Grid)
-	}
-
-	par := a.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
-	rep := &Report{BaselineCost: base.Cost, Threshold: threshold}
-	acc := &statsAcc{}
-	defer func() {
-		if pre != nil {
-			rep.PrescreenPruned = int(pre.pruned.Load())
-		}
-		if ws != nil {
-			rep.LPStats = ws.Stats()
-		}
-	}()
-
-	var jr *Journal
-	if a.CheckpointPath != "" {
-		cfg := a.journalConfig(base.Cost, threshold, maxIter)
-		var recs []JournalRecord
-		var done bool
-		jr, recs, done, err = a.openCheckpoint(cfg, rep)
-		if err != nil {
-			return nil, err
-		}
-		if a.JournalObserver != nil {
-			for _, rec := range recs {
-				a.JournalObserver(rec)
-			}
-			if jr != nil {
-				jr.SetObserver(a.JournalObserver)
-			}
-		}
-		if jr != nil {
-			defer jr.Close()
-		}
-		if !done && len(recs) > 0 {
-			done, err = a.replayCheckpoint(rep, model, jr, recs, maxIter)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if done {
-			acc.add(model.Solver().Stats())
-			rep.SolverStats = acc.snapshot()
-			rep.Elapsed = time.Since(start)
-			return rep, nil
-		}
-	}
-
-	if par > 1 {
-		if rep.Iterations < maxIter {
-			if err := a.runPipelined(rep, model, fac, ws, pre, threshold, maxIter, par, jr, acc); err != nil {
-				return nil, err
-			}
-		} else {
-			acc.add(model.Solver().Stats())
-		}
-		rep.SolverStats = acc.snapshot()
-		rep.Elapsed = time.Since(start)
-		return rep, nil
-	}
-
-	for rep.Iterations < maxIter {
-		t0 := time.Now()
-		v, err := model.FindVector()
-		rep.AttackSearchTime += time.Since(t0)
-		if errors.Is(err, smt.ErrCanceled) {
-			rep.Canceled = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			rep.Exhausted = true
-			if jr != nil {
-				if err := jr.AppendFinal(false, true, nil, 0); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		rep.Iterations++
-
-		t1 := time.Now()
-		cost, reached, err := a.verify(context.Background(), v, fac, ws, pre, threshold, 1, acc)
-		rep.VerifyTime += time.Since(t1)
-		if errors.Is(err, smt.ErrCanceled) {
-			rep.Canceled = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if jr != nil {
-			if err := jr.AppendIter(rep.Iterations, v, cost, reached); err != nil {
-				return nil, err
-			}
-		}
-		if reached {
-			rep.Found = true
-			rep.Vector = v
-			rep.AttackedCost = cost
-			if jr != nil {
-				if err := jr.AppendFinal(true, false, v, cost); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		model.Block(v, a.BlockPrecision)
-	}
-	acc.add(model.Solver().Stats())
-	rep.SolverStats = acc.snapshot()
-	rep.Elapsed = time.Since(start)
-	return rep, nil
-}
-
-// incremental reports whether this analysis uses the assumption-based
-// (incremental) SMT encoding for verification cost caps. Certify forces the
-// cold path — whether set on this analyzer or process-wide (the
-// GRIDATTACK_CERTIFY lane) — because relative unsat verdicts carry no
-// certificate.
-func (a *Analyzer) incremental() bool {
-	return !a.NoIncremental && !a.Certify && !smt.CertifyDefault()
-}
-
-// encodingName is the journal fingerprint of the encoding path.
-func (a *Analyzer) encodingName() string {
-	if a.incremental() {
-		return "incremental"
-	}
-	return "cold"
-}
-
-// journalConfig builds the configuration fingerprint stored in (and checked
-// against) a checkpoint journal's header.
-func (a *Analyzer) journalConfig(baseline, threshold float64, maxIter int) JournalConfig {
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
-	}
-	return JournalConfig{
-		Encoding:              a.encodingName(),
-		Buses:                 a.Grid.NumBuses(),
-		Lines:                 a.Grid.NumLines(),
-		BaselineCost:          baseline,
-		Threshold:             threshold,
-		TargetPercent:         a.TargetIncreasePercent,
-		MaxIterations:         maxIter,
-		VerifyMode:            int(mode),
-		BlockPrecision:        a.BlockPrecision,
-		MaxMeasurements:       a.Capability.MaxMeasurements,
-		MaxBuses:              a.Capability.MaxBuses,
-		States:                a.Capability.States,
-		RequireTopologyChange: a.Capability.RequireTopologyChange,
-	}
-}
-
-// openCheckpoint opens or creates the journal at a.CheckpointPath. It
-// returns the journal positioned for appending, the iteration records to
-// replay, and done=true when the journal already holds the final verdict
-// (in which case rep carries the reconstructed outcome and no journal is
-// returned).
-func (a *Analyzer) openCheckpoint(cfg JournalConfig, rep *Report) (*Journal, []JournalRecord, bool, error) {
-	st, err := os.Stat(a.CheckpointPath)
-	if errors.Is(err, os.ErrNotExist) || (err == nil && st.Size() == 0) {
-		j, err := CreateJournal(a.CheckpointPath, cfg)
-		return j, nil, false, err
-	}
-	if err != nil {
-		return nil, nil, false, err
-	}
-	j, have, recs, err := OpenJournal(a.CheckpointPath)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if *have != cfg {
-		j.Close()
-		return nil, nil, false, fmt.Errorf("%w: %s was written by a different analysis configuration", ErrJournal, a.CheckpointPath)
-	}
-	if n := len(recs); n > 0 && recs[n-1].Kind == recFinal {
-		// Fully finalized run: reconstruct the verdict without re-solving.
-		fin := recs[n-1]
-		for _, r := range recs {
-			if r.Kind == recIter {
-				rep.Iterations++
-				rep.ResumedIterations++
-			}
-		}
-		rep.Found = fin.Found
-		rep.Exhausted = fin.Exhausted
-		rep.Vector = fin.Vector
-		rep.AttackedCost = fin.AttackedCost
-		j.Close()
-		// The records are still returned so a JournalObserver can replay the
-		// finalized run's history.
-		return nil, recs, true, nil
-	}
-	return j, recs, false, nil
-}
-
-// replayCheckpoint re-runs the journaled iterations. The candidate searches
-// are recomputed — the solver's learned clauses and heuristic state are what
-// make the candidate sequence deterministic, so that state must be rebuilt —
-// but the journaled verification verdicts are reused, skipping the OPF work.
-// Each regenerated candidate must match the journal exactly; a mismatch
-// means the journal belongs to a different problem. Returns done=true when
-// the replay reached a definitive verdict.
-func (a *Analyzer) replayCheckpoint(rep *Report, model *attack.Model, jr *Journal, recs []JournalRecord, maxIter int) (bool, error) {
-	for _, rec := range recs {
-		if rec.Kind != recIter {
-			return true, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
-		}
-		if rep.Iterations >= maxIter {
-			return true, fmt.Errorf("%w: journal holds more iterations than the configured maximum", ErrJournal)
-		}
-		t0 := time.Now()
-		v, err := model.FindVector()
-		rep.AttackSearchTime += time.Since(t0)
-		if errors.Is(err, smt.ErrCanceled) {
-			rep.Canceled = true
-			return true, nil
-		}
-		if err != nil {
-			return true, err
-		}
-		if v == nil || !vectorsEqual(v, rec.Vector) {
-			return true, fmt.Errorf("%w: iteration %d regenerated a different candidate than the journal records (was the input changed?)", ErrJournal, rec.Iter)
-		}
-		rep.Iterations++
-		rep.ResumedIterations++
-		if rec.Reached {
-			rep.Found = true
-			rep.Vector = v
-			rep.AttackedCost = rec.Cost
-			return true, jr.AppendFinal(true, false, v, rec.Cost)
-		}
-		model.Block(v, a.BlockPrecision)
-	}
-	return false, nil
-}
-
-// runPipelined executes the Fig. 2 loop with the speculative find–verify
-// pipeline: while candidate k is being verified, a clone of the attack model
-// speculatively searches for candidate k+1 under the assumption that k fails
-// (the common case — the clone blocks k exactly as the sequential loop
-// would). When the verification indeed fails, the clone and its result are
-// adopted wholesale, so the candidate sequence is bit-for-bit the sequential
-// one; when it succeeds, the speculation is interrupted and discarded.
-//
-// The verification runs a stable solver portfolio of width par-1, the
-// speculative search a sequential solver — together they occupy the par
-// workers the caller granted.
-func (a *Analyzer) runPipelined(rep *Report, model *attack.Model, fac *dist.Factors, ws *opf.WarmSolver, pre *prescreener, threshold float64, maxIter, par int, jr *Journal, acc *statsAcc) error {
-	// The surviving attack-model lineage carries cumulative counters (Clone
-	// copies them), so reading the final model once covers the whole chain
-	// of speculative clones that became the model.
-	defer func() { acc.add(model.Solver().Stats()) }()
-	type verifyResult struct {
-		cost    float64
-		reached bool
-		err     error
-		elapsed time.Duration
-	}
-	type findResult struct {
-		v       *attack.Vector
-		err     error
-		elapsed time.Duration
-	}
-	ctx := context.Background()
-
-	// The first candidate has nothing to overlap with: give the search the
-	// full portfolio width.
-	t0 := time.Now()
-	v, err := model.FindVectorPortfolio(ctx, par)
-	rep.AttackSearchTime += time.Since(t0)
-	if errors.Is(err, smt.ErrCanceled) {
-		rep.Canceled = true
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-
-	for {
-		if v == nil {
-			rep.Exhausted = true
-			if jr != nil {
-				return jr.AppendFinal(false, true, nil, 0)
-			}
-			return nil
-		}
-		rep.Iterations++
-
-		vch := make(chan verifyResult, 1)
-		go func(v *attack.Vector) {
-			t := time.Now()
-			cost, reached, err := a.verify(ctx, v, fac, ws, pre, threshold, max(1, par-1), acc)
-			vch <- verifyResult{cost: cost, reached: reached, err: err, elapsed: time.Since(t)}
-		}(v)
-
-		// Speculate only when a further candidate could still be consumed
-		// within the iteration budget (this also keeps the Canceled flag
-		// identical to the sequential loop, which never runs that search).
-		var spec *attack.Model
-		var fch chan findResult
-		var cancelSpec context.CancelFunc
-		if rep.Iterations < maxIter {
-			spec = model.Clone()
-			spec.Block(v, a.BlockPrecision)
-			var sctx context.Context
-			sctx, cancelSpec = context.WithCancel(ctx)
-			fch = make(chan findResult, 1)
-			go func() {
-				t := time.Now()
-				nv, err := spec.FindVectorPortfolio(sctx, 1)
-				fch <- findResult{v: nv, err: err, elapsed: time.Since(t)}
-			}()
-		}
-
-		vr := <-vch
-		rep.VerifyTime += vr.elapsed
-		if vr.err == nil && jr != nil {
-			// The iteration is complete (candidate + verdict): journal it
-			// before acting on it, so a crash from here on resumes after it.
-			if jerr := jr.AppendIter(rep.Iterations, v, vr.cost, vr.reached); jerr != nil {
-				if cancelSpec != nil {
-					cancelSpec()
-					<-fch
-				}
-				return jerr
-			}
-		}
-		if vr.err != nil || vr.reached {
-			if cancelSpec != nil {
-				// Wrong speculation (or an error): interrupt the clone's
-				// search and join it before returning.
-				cancelSpec()
-				<-fch
-			}
-			if errors.Is(vr.err, smt.ErrCanceled) {
-				rep.Canceled = true
-				return nil
-			}
-			if vr.err != nil {
-				return vr.err
-			}
-			rep.Found = true
-			rep.Vector = v
-			rep.AttackedCost = vr.cost
-			if jr != nil {
-				return jr.AppendFinal(true, false, v, vr.cost)
-			}
-			return nil
-		}
-		if cancelSpec == nil {
-			// Iteration budget exhausted without a verdict — same exit as the
-			// sequential loop's bound.
-			return nil
-		}
-
-		// The candidate failed, so the speculation holds: the clone with the
-		// candidate blocked becomes the model, and its search result the next
-		// candidate — exactly what the sequential loop would compute next.
-		fr := <-fch
-		cancelSpec()
-		rep.AttackSearchTime += fr.elapsed
-		if errors.Is(fr.err, smt.ErrCanceled) {
-			rep.Canceled = true
-			return nil
-		}
-		if fr.err != nil {
-			return fr.err
-		}
-		model = spec
-		v = fr.v
-	}
-}
-
-// verify evaluates one candidate vector: the operator reruns OPF on the
-// poisoned topology with the attack's load estimates. An attack succeeds
-// when the resulting minimum cost is at least the threshold while OPF still
-// converges (Eq. 38: the attacker avoids non-convergent outcomes). par is
-// the solver-portfolio width for the SMT backend (<= 1 = sequential).
-//
-// The LODF prescreen runs first when enabled: a candidate whose failure it
-// certifies (a concrete cheap dispatch stays below the threshold with all
-// post-outage flows in bounds) skips the expensive verification entirely,
-// with the witness cost standing in for the OPF minimum.
-func (a *Analyzer) verify(ctx context.Context, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver, pre *prescreener, threshold float64, par int, acc *statsAcc) (float64, bool, error) {
-	if cost, ok := pre.prune(v); ok {
-		return cost, false, nil
-	}
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
-	}
-	switch mode {
-	case VerifyLP:
-		var sol *opf.Solution
-		var err error
-		if ws != nil {
-			sol, err = ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
-		} else {
-			sol, err = opf.Solve(a.Grid, v.MappedTopology, v.ObservedLoads)
-		}
-		if errors.Is(err, opf.ErrInfeasible) {
-			return 0, false, nil // Eq. 38: non-convergence is not a success
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		return sol.Cost, sol.Cost >= threshold, nil
-
-	case VerifySMT:
-		// One OPF feasibility model answers both the Eq. 38 and the Eq. 37
-		// query: the topology/load constraints are encoded once and the two
-		// cost caps evaluated against the same solver. On the incremental
-		// path the caps are retractable assumptions; on the cold path they
-		// are permanent assertions, so the generous cap is queried first —
-		// the outcome is provably the one the original tight-then-generous
-		// order computed, since unsat at the generous cap implies unsat at
-		// the tight one (which also makes the two paths verdict-identical).
-		fm, err := opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
-		if err != nil {
-			return 0, false, err
-		}
-		defer func() { acc.add(fm.Stats()) }()
-		fm.Incremental = a.incremental()
-		fm.Parallelism = par
-		fm.MaxPivots = a.MaxPivots
-		fm.Certify = a.Certify
-		// Eq. 38: OPF must converge for a generous budget...
-		converges, err := fm.CheckCostBelow(ctx, threshold*10)
-		if err != nil {
-			return 0, false, err
-		}
-		if !converges {
-			return 0, false, nil
-		}
-		// ...Eq. 37: while no dispatch stays below the threshold.
-		below, err := fm.CheckCostBelow(ctx, threshold)
-		if err != nil {
-			return 0, false, err
-		}
-		return 0, !below, nil
-
-	case VerifyShift:
-		outage := 0
-		if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {
-			outage = v.ExcludedLines[0]
-		} else if len(v.ExcludedLines) != 0 || len(v.IncludedLines) != 0 {
-			return 0, false, fmt.Errorf("%w: shift-factor verification handles single-line exclusions only", ErrConfig)
-		}
-		sol, err := opf.SolveShift(a.Grid, fac, outage, v.ObservedLoads)
-		if errors.Is(err, opf.ErrInfeasible) {
-			return 0, false, nil
-		}
-		if err != nil {
-			return 0, false, err
-		}
-		return sol.Cost, sol.Cost >= threshold, nil
-
-	default:
-		return 0, false, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
-	}
+	return reps[0], nil
 }

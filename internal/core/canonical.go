@@ -33,6 +33,7 @@ import (
 	"gridattack/internal/attack"
 	"gridattack/internal/grid"
 	"gridattack/internal/measure"
+	"gridattack/internal/smt"
 )
 
 // KeyConfig holds the verdict-relevant analyzer configuration that joins the
@@ -57,7 +58,9 @@ type KeyConfig struct {
 	Certify bool
 	// NoIncremental forces the cold encoding path. The paths are
 	// verdict-identical, but they are keyed apart so the cache never blurs
-	// the A/B boundary the rest of the repo tests against.
+	// the A/B boundary the rest of the repo tests against. The key records
+	// the encoding the analysis actually runs (see encodingName), so where
+	// certification forces the cold path anyway this knob changes nothing.
 	NoIncremental bool
 }
 
@@ -141,6 +144,19 @@ func CanonicalProblemBytes(g *grid.Grid, p *measure.Plan, cap attack.Capability)
 	return b.Bytes()
 }
 
+// encodingName names the SMT encoding path an analysis with these knobs
+// runs, journals, and is keyed under: "incremental" (assumption-based cost
+// caps) unless NoIncremental or certification forces "cold". Certification
+// counts whether requested or enabled process-wide (GRIDATTACK_CERTIFY),
+// because a relative unsat verdict carries no certificate. This is the one
+// place the decision is made.
+func encodingName(noIncremental, certify bool) string {
+	if noIncremental || certify || smt.CertifyDefault() {
+		return "cold"
+	}
+	return "incremental"
+}
+
 // CacheKey returns the hex SHA-256 content address of (problem,
 // configuration). Identical problems loaded from reordered inputs map to the
 // same key; any one-ULP numeric difference, and any configuration difference
@@ -157,12 +173,8 @@ func CacheKey(g *grid.Grid, p *measure.Plan, cap attack.Capability, kc KeyConfig
 		maxIter = 200
 	}
 	prec := kc.BlockPrecision
-	encoding := "incremental"
-	if kc.NoIncremental || kc.Certify {
-		encoding = "cold"
-	}
 	fmt.Fprintf(h, "cfg v1 verify=%d maxiter=%d prec=%016x certify=%t encoding=%s targets=",
-		int(mode), maxIter, math.Float64bits(prec), kc.Certify, encoding)
+		int(mode), maxIter, math.Float64bits(prec), kc.Certify, encodingName(kc.NoIncremental, kc.Certify))
 	for _, t := range kc.Targets {
 		fmt.Fprintf(h, "%016x,", math.Float64bits(t))
 	}

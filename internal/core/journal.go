@@ -1,51 +1,45 @@
-// Checkpoint journal: an append-only, fsync'd, hash-chained record of the
-// Fig. 2 loop's progress, letting an analysis killed mid-run resume at the
-// first incomplete iteration with verdicts identical to an uninterrupted run.
+// Checkpoint journal: the Fig. 2 engine's progress, kept in the repository's
+// hash-chained journal format (package journal), letting an analysis killed
+// mid-run resume at the first incomplete iteration with verdicts identical
+// to an uninterrupted run.
 //
-// Format: one JSON object per line. The first record is a header carrying
-// the format version and a configuration fingerprint; every subsequent
-// record is either a completed find–verify iteration or the final verdict.
-// Each record stores the hex SHA-256 of its own content and of its
-// predecessor's, forming a chain: any in-place edit, reordering, or deletion
-// breaks verification on open. A torn final line (the process died inside a
-// write) is truncated away on open; everything before it is intact because
-// every append is fsync'd before the analysis acts on the iteration.
+// After the header (the configuration fingerprint, whole threshold set
+// included) every record is either one find–verify iteration or the final
+// verdict of every rung.
 package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 
 	"gridattack/internal/attack"
+	"gridattack/internal/journal"
 )
 
 // journalVersion identifies the checkpoint format; bump on layout changes.
-const journalVersion = 1
+// Version 2 made the journal per-ladder: one header for the whole threshold
+// set and per-rung outcomes in every record.
+const journalVersion = 2
 
 // ErrJournal reports a corrupt, mismatched, or unreadable checkpoint journal.
-var ErrJournal = errors.New("core: invalid checkpoint journal")
+var ErrJournal = journal.ErrInvalid
 
 // Journal record kinds. The exported names let journal consumers (the serve
 // layer streams records as server-sent events) switch on JournalRecord.Kind
 // without duplicating the strings.
 const (
-	RecHeader = "header"
-	RecIter   = "iter"
-	RecFinal  = "final"
-
-	recHeader = RecHeader
-	recIter   = RecIter
-	recFinal  = RecFinal
+	RecIter  = "iter"
+	RecFinal = "final"
 )
 
 // JournalConfig fingerprints the analysis a journal belongs to. Resuming
 // against a journal whose configuration differs is refused: the journaled
-// candidate sequence would not match the one the model regenerates.
+// candidate sequence and per-rung outcomes would not match the ones the
+// engine regenerates.
 type JournalConfig struct {
 	// Encoding records the SMT encoding path ("incremental" or "cold", see
 	// Analyzer.NoIncremental) the journaled run used. A resume under the
@@ -54,199 +48,98 @@ type JournalConfig struct {
 	// meaningless and would mask encoding bugs that only one path has.
 	Encoding string `json:"encoding,omitempty"`
 
-	Buses                 int     `json:"buses"`
-	Lines                 int     `json:"lines"`
-	BaselineCost          float64 `json:"baseline_cost"`
-	Threshold             float64 `json:"threshold"`
-	TargetPercent         float64 `json:"target_percent"`
-	MaxIterations         int     `json:"max_iterations"`
-	VerifyMode            int     `json:"verify_mode"`
-	BlockPrecision        float64 `json:"block_precision"`
-	MaxMeasurements       int     `json:"max_measurements"`
-	MaxBuses              int     `json:"max_buses"`
-	States                bool    `json:"states"`
-	RequireTopologyChange bool    `json:"require_topology_change"`
+	Buses        int     `json:"buses"`
+	Lines        int     `json:"lines"`
+	BaselineCost float64 `json:"baseline_cost"`
+	// Targets are the rungs' cost-increase percentages, in input order, and
+	// Thresholds the matching cost thresholds.
+	Targets               []float64 `json:"targets"`
+	Thresholds            []float64 `json:"thresholds"`
+	MaxIterations         int       `json:"max_iterations"`
+	VerifyMode            int       `json:"verify_mode"`
+	BlockPrecision        float64   `json:"block_precision"`
+	MaxMeasurements       int       `json:"max_measurements"`
+	MaxBuses              int       `json:"max_buses"`
+	States                bool      `json:"states"`
+	RequireTopologyChange bool      `json:"require_topology_change"`
 }
 
-// JournalRecord is one line of the checkpoint journal.
+// RungVerdict is one rung's definitive outcome as the final record keeps it.
+type RungVerdict struct {
+	Found        bool           `json:"found,omitempty"`
+	Exhausted    bool           `json:"exhausted,omitempty"`
+	Iterations   int            `json:"iterations"`
+	Vector       *attack.Vector `json:"vector,omitempty"`
+	AttackedCost float64        `json:"attacked_cost,omitempty"`
+}
+
+// JournalRecord is one line of the checkpoint journal after its header.
 type JournalRecord struct {
 	Kind string `json:"kind"`
 
-	// Header fields.
-	Version int            `json:"version,omitempty"`
-	Config  *JournalConfig `json:"config,omitempty"`
-
-	// Iteration fields: candidate vector and its verification verdict.
+	// Iteration fields: the candidate, its post-attack OPF cost under the
+	// cost-based verify modes, and the rungs (indices into the header's
+	// Targets) it was definitively verified against: Reached lists those
+	// whose threshold it reaches, Missed those it does not. A rung whose
+	// verification a budget cancelled is in neither list; a resume verifies
+	// it again instead of replaying the cancellation.
 	Iter    int            `json:"iter,omitempty"`
 	Vector  *attack.Vector `json:"vector,omitempty"`
 	Cost    float64        `json:"cost,omitempty"`
-	Reached bool           `json:"reached,omitempty"`
+	Reached []int          `json:"reached,omitempty"`
+	Missed  []int          `json:"missed,omitempty"`
 
-	// Final-verdict fields.
-	Found        bool    `json:"found,omitempty"`
-	Exhausted    bool    `json:"exhausted,omitempty"`
-	AttackedCost float64 `json:"attacked_cost,omitempty"`
+	// Final-record field: every rung's verdict, in target order. Written
+	// only once every rung is Found or Exhausted — budget and cancellation
+	// exits are never finalized, so a re-run with larger budgets resumes
+	// instead of replaying a truncated verdict.
+	Verdicts []RungVerdict `json:"verdicts,omitempty"`
 
-	// Hash chain: Prev is the predecessor's Hash ("" for the header); Hash
-	// is the hex SHA-256 of this record marshaled with Hash set to "".
-	Prev string `json:"prev"`
-	Hash string `json:"hash"`
+	journal.Link
 }
 
-// recordHash computes the chain hash of rec (its Hash field is ignored).
-func recordHash(rec *JournalRecord) (string, error) {
-	clone := *rec
-	clone.Hash = ""
-	payload, err := json.Marshal(&clone)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// Journal is an open checkpoint journal positioned for appending.
-type Journal struct {
-	f        *os.File
-	path     string
-	prev     string
+// checkpoint is an open checkpoint journal positioned for appending; the
+// observer sees every record once it is durable. A checkpoint without a
+// journal (j nil) only feeds the observer.
+type checkpoint struct {
+	j        *journal.Journal
 	observer func(JournalRecord)
 }
 
-// SetObserver registers a callback invoked with every record after it has
-// been durably appended (written and fsync'd). The callback runs on the
-// appending goroutine, so it must not block for long; nil clears it.
-func (j *Journal) SetObserver(fn func(JournalRecord)) { j.observer = fn }
-
-// CreateJournal starts a fresh journal at path (truncating any previous
-// content) and writes the fsync'd header record.
-func CreateJournal(path string, cfg JournalConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	j := &Journal{f: f, path: path}
-	if err := j.append(&JournalRecord{Kind: recHeader, Version: journalVersion, Config: &cfg}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// OpenJournal reads an existing journal, verifies the hash chain, truncates
-// a torn unterminated final line, and returns the journal positioned for
-// appending together with its configuration and the records after the
-// header. Any integrity violation other than a torn tail is an error.
-func OpenJournal(path string) (*Journal, *JournalConfig, []JournalRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keep := len(data)
-	if keep > 0 && data[keep-1] != '\n' {
-		// The process died mid-write: the unterminated tail was never acted
-		// on (appends are fsync'd before the analysis proceeds), so it is
-		// safe to drop. Anything before it is covered by the hash chain.
-		if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-			keep = i + 1
-		} else {
-			keep = 0
+func (c *checkpoint) append(rec *JournalRecord) error {
+	if c.j != nil {
+		if err := c.j.Append(rec); err != nil {
+			return fmt.Errorf("core: checkpoint: %w", err)
 		}
-		if err := os.Truncate(path, int64(keep)); err != nil {
-			return nil, nil, nil, err
-		}
-		data = data[:keep]
 	}
-	if keep == 0 {
-		return nil, nil, nil, fmt.Errorf("%w: %s holds no complete records", ErrJournal, path)
-	}
-
-	var cfg *JournalConfig
-	var recs []JournalRecord
-	prev := ""
-	for n, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrJournal, path, n+1, err)
-		}
-		want, err := recordHash(&rec)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if rec.Hash != want {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: hash mismatch (content altered)", ErrJournal, path, n+1)
-		}
-		if rec.Prev != prev {
-			return nil, nil, nil, fmt.Errorf("%w: %s line %d: broken hash chain (records altered or reordered)", ErrJournal, path, n+1)
-		}
-		prev = rec.Hash
-		if n == 0 {
-			if rec.Kind != recHeader || rec.Config == nil {
-				return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-			}
-			if rec.Version != journalVersion {
-				return nil, nil, nil, fmt.Errorf("%w: %s has format version %d, this build reads %d", ErrJournal, path, rec.Version, journalVersion)
-			}
-			cfg = rec.Config
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if cfg == nil {
-		return nil, nil, nil, fmt.Errorf("%w: %s does not start with a header record", ErrJournal, path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &Journal{f: f, path: path, prev: prev}, cfg, recs, nil
-}
-
-// append chains, writes, and fsyncs one record.
-func (j *Journal) append(rec *JournalRecord) error {
-	rec.Prev = j.prev
-	h, err := recordHash(rec)
-	if err != nil {
-		return err
-	}
-	rec.Hash = h
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("core: checkpoint append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("core: checkpoint sync: %w", err)
-	}
-	j.prev = rec.Hash
-	if j.observer != nil {
-		j.observer(*rec)
+	if c.observer != nil {
+		c.observer(*rec)
 	}
 	return nil
 }
 
-// AppendIter records one completed find–verify iteration.
-func (j *Journal) AppendIter(iter int, v *attack.Vector, cost float64, reached bool) error {
-	return j.append(&JournalRecord{Kind: recIter, Iter: iter, Vector: v, Cost: cost, Reached: reached})
-}
-
-// AppendFinal records the definitive verdict (Found or Exhausted). Budget
-// and cancellation exits are deliberately not finalized, so a re-run with
-// larger budgets resumes instead of replaying a truncated verdict.
-func (j *Journal) AppendFinal(found, exhausted bool, v *attack.Vector, attackedCost float64) error {
-	return j.append(&JournalRecord{Kind: recFinal, Found: found, Exhausted: exhausted, Vector: v, AttackedCost: attackedCost})
-}
-
-// Close closes the underlying file.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
+// openCheckpoint opens the journal at path, or creates it when it is
+// missing or empty, and returns it with the records to replay. A journal
+// written under a configuration other than cfg is ErrJournal.
+func openCheckpoint(path string, cfg JournalConfig) (*journal.Journal, []JournalRecord, error) {
+	st, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) || (err == nil && st.Size() == 0) {
+		j, err := journal.Create(path, journalVersion, cfg)
+		return j, nil, err
 	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	if err != nil {
+		return nil, nil, err
+	}
+	var have JournalConfig
+	j, recs, err := journal.Open[JournalRecord](path, journalVersion, &have)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !reflect.DeepEqual(have, cfg) {
+		j.Close()
+		return nil, nil, fmt.Errorf("%w: %s was written by a different analysis configuration", ErrJournal, path)
+	}
+	return j, recs, nil
 }
 
 // vectorsEqual compares two vectors through their canonical wire form.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +9,13 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/grid"
+)
+
+// Test-side names for the record kinds, which the resume tests use to read
+// journals.
+const (
+	recIter  = RecIter
+	recFinal = RecFinal
 )
 
 func testVector() *attack.Vector {
@@ -25,64 +31,90 @@ func testVector() *attack.Vector {
 	}
 }
 
+// TestJournalRoundTrip: the checkpoint schema — per-rung outcomes in
+// iteration records, per-rung verdicts in the final one — survives a write
+// and re-open, and a different threshold set is refused.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	cfg := JournalConfig{Buses: 5, Lines: 7, BaselineCost: 1534.25, Threshold: 1580.2775, MaxIterations: 200, VerifyMode: 1}
-	j, err := CreateJournal(path, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := JournalConfig{Encoding: "incremental", Buses: 5, Lines: 7, BaselineCost: 1534.25,
+		Targets: []float64{1, 3}, Thresholds: []float64{1549.5925, 1580.2775}, MaxIterations: 200, VerifyMode: 1}
+	j, recs, err := openCheckpoint(path, cfg)
+	if err != nil || len(recs) != 0 {
+		t.Fatalf("create: %v, %d records", err, len(recs))
 	}
+	var seen []JournalRecord
+	cp := &checkpoint{j: j, observer: func(rec JournalRecord) { seen = append(seen, rec) }}
 	v := testVector()
-	if err := j.AppendIter(1, v, 1550, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendIter(2, v, 1590, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendFinal(true, false, v, 1590); err != nil {
-		t.Fatal(err)
+	for _, rec := range []*JournalRecord{
+		{Kind: RecIter, Iter: 1, Vector: v, Cost: 1550, Reached: []int{0}, Missed: []int{1}},
+		{Kind: RecIter, Iter: 2, Vector: v, Cost: 1590, Reached: []int{1}},
+		{Kind: RecFinal, Verdicts: []RungVerdict{{Found: true, Iterations: 1, Vector: v, AttackedCost: 1550}, {Found: true, Iterations: 2, Vector: v, AttackedCost: 1590}}},
+	} {
+		if err := cp.append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, got, recs, err := OpenJournal(path)
+	j, recs, err = openCheckpoint(path, cfg)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("re-open: %v", err)
 	}
-	defer j2.Close()
-	if *got != cfg {
-		t.Fatalf("config round trip: got %+v, want %+v", *got, cfg)
+	j.Close()
+	if len(recs) != 3 || len(seen) != 3 {
+		t.Fatalf("got %d records (%d observed), want 3", len(recs), len(seen))
 	}
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if recs[0].Kind != recIter || recs[0].Reached || recs[0].Cost != 1550 {
+	if recs[0].Kind != recIter || recs[0].Cost != 1550 || recs[0].Reached[0] != 0 || recs[0].Missed[0] != 1 {
 		t.Fatalf("record 0 mismatch: %+v", recs[0])
 	}
-	if !recs[1].Reached {
-		t.Fatalf("record 1 lost Reached: %+v", recs[1])
+	if recs[1].Reached[0] != 1 || len(recs[1].Missed) != 0 {
+		t.Fatalf("record 1 mismatch: %+v", recs[1])
 	}
-	if recs[2].Kind != recFinal || !recs[2].Found {
+	if fin := recs[2]; fin.Kind != recFinal || len(fin.Verdicts) != 2 || fin.Verdicts[1].Iterations != 2 || !fin.Verdicts[1].Found {
 		t.Fatalf("final record mismatch: %+v", recs[2])
 	}
-	if !vectorsEqual(recs[0].Vector, v) {
+	if !vectorsEqual(recs[0].Vector, v) || !vectorsEqual(recs[2].Verdicts[0].Vector, v) {
 		t.Fatalf("vector did not round-trip:\n got %+v\nwant %+v", recs[0].Vector, v)
+	}
+	if seen[2].Hash != recs[2].Hash {
+		t.Fatal("observer saw a record other than the one written")
+	}
+
+	other := cfg
+	other.Thresholds = []float64{1549.5925, 1580.2776}
+	if _, _, err := openCheckpoint(path, other); !errors.Is(err, ErrJournal) {
+		t.Fatalf("re-open under another threshold set: err=%v, want ErrJournal", err)
+	}
+}
+
+// writeCheckpoint creates a checkpoint journal at path holding one
+// iteration record per cost.
+func writeCheckpoint(t *testing.T, path string, costs ...float64) {
+	t.Helper()
+	j, _, err := openCheckpoint(path, JournalConfig{Buses: 5, Targets: []float64{3}, Thresholds: []float64{1580.2775}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &checkpoint{j: j}
+	for i, c := range costs {
+		if err := cp.append(&JournalRecord{Kind: RecIter, Iter: i + 1, Vector: testVector(), Cost: c, Missed: []int{0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestJournalTornTailTruncated simulates a crash inside an append: the
-// unterminated tail must be dropped, everything before it kept.
+// unterminated tail must be dropped, everything before it kept, and the
+// checkpoint must accept appends that re-open cleanly.
 func TestJournalTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := CreateJournal(path, JournalConfig{Buses: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendIter(1, testVector(), 10, false); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	cfg := JournalConfig{Buses: 5, Targets: []float64{3}, Thresholds: []float64{1580.2775}}
+	writeCheckpoint(t, path, 10)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -92,91 +124,52 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	j2, _, recs, err := OpenJournal(path)
+	j, recs, err := openCheckpoint(path, cfg)
 	if err != nil {
-		t.Fatalf("OpenJournal with torn tail: %v", err)
+		t.Fatalf("openCheckpoint with torn tail: %v", err)
 	}
 	if len(recs) != 1 {
 		t.Fatalf("got %d records after torn-tail truncation, want 1", len(recs))
 	}
-	// The journal must be appendable after truncation, and the result must
-	// re-open cleanly.
-	if err := j2.AppendIter(2, testVector(), 11, true); err != nil {
+	cp := &checkpoint{j: j}
+	if err := cp.append(&JournalRecord{Kind: RecIter, Iter: 2, Vector: testVector(), Cost: 11, Reached: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
-	j2.Close()
-	j3, _, recs, err := OpenJournal(path)
+	j.Close()
+	j, recs, err = openCheckpoint(path, cfg)
 	if err != nil {
 		t.Fatalf("re-open after post-truncation append: %v", err)
 	}
-	j3.Close()
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	j.Close()
+	if len(recs) != 2 || recs[1].Cost != 11 {
+		t.Fatalf("records after repair: %+v", recs)
 	}
 }
 
 // TestJournalRejectsTampering flips content, deletes a record, and reorders
-// records; every alteration must break the hash chain.
+// records of a checkpoint journal; every alteration must break the hash
+// chain and surface as ErrJournal.
 func TestJournalRejectsTampering(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := CreateJournal(path, JournalConfig{Buses: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendIter(1, testVector(), 1550, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendIter(2, testVector(), 1590, true); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	cfg := JournalConfig{Buses: 5, Targets: []float64{3}, Thresholds: []float64{1580.2775}}
+	writeCheckpoint(t, path, 1550, 1590)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	check := func(name string, data []byte) {
-		t.Helper()
+	lines := bytes.SplitAfter(pristine, []byte("\n"))
+	for name, data := range map[string][]byte{
+		"content flip":      bytes.Replace(pristine, []byte("1550"), []byte("1551"), 1),
+		"record deleted":    bytes.Join([][]byte{lines[0], lines[2]}, nil),
+		"records reordered": bytes.Join([][]byte{lines[0], lines[2], lines[1]}, nil),
+		"header dropped":    bytes.Join([][]byte{lines[1], lines[2]}, nil),
+	} {
 		p := filepath.Join(t.TempDir(), "tampered.journal")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := OpenJournal(p); !errors.Is(err, ErrJournal) {
-			t.Fatalf("%s: OpenJournal error = %v, want ErrJournal", name, err)
+		if _, _, err := openCheckpoint(p, cfg); !errors.Is(err, ErrJournal) {
+			t.Errorf("%s: openCheckpoint error = %v, want ErrJournal", name, err)
 		}
-	}
-
-	check("content flip", bytes.Replace(pristine, []byte("1550"), []byte("1551"), 1))
-	lines := bytes.SplitAfter(pristine, []byte("\n"))
-	check("record deleted", bytes.Join([][]byte{lines[0], lines[2]}, nil))
-	check("records reordered", bytes.Join([][]byte{lines[0], lines[2], lines[1]}, nil))
-	check("header dropped", bytes.Join([][]byte{lines[1], lines[2]}, nil))
-}
-
-// TestJournalRejectsFutureVersion guards the format-version gate.
-func TestJournalRejectsFutureVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := CreateJournal(path, JournalConfig{Buses: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	// A version bump changes the hash too, so re-chain a synthetic header.
-	rec := &JournalRecord{Kind: recHeader, Version: journalVersion + 1, Config: &JournalConfig{Buses: 5}}
-	h, err := recordHash(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Hash = h
-	line, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := filepath.Join(t.TempDir(), "future.journal")
-	if err := os.WriteFile(p, append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := OpenJournal(p); !errors.Is(err, ErrJournal) {
-		t.Fatalf("OpenJournal error = %v, want ErrJournal for future version", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"gridattack/internal/attack"
@@ -13,16 +15,17 @@ import (
 	"gridattack/internal/smt"
 )
 
-// RunLadder evaluates the same analysis problem against several target
+// RunLadder evaluates the analysis problem against several target
 // cost-increase percentages ("rungs") at once — the Fig. 4(a) sweep — and
-// returns one Report per target, in input order.
+// returns one Report per target, in input order. Run is the one-rung case:
+// this is the only implementation of the Fig. 2 loop.
 //
 // The key structural fact the ladder exploits is that the Fig. 2 candidate
 // stream is target-independent: FindVector and Block never look at the
-// threshold, so the per-rung runs that a naive sweep would execute all walk
-// the same candidate sequence, each stopping at its own first success. The
-// incremental ladder therefore enumerates that sequence once and verifies
-// every candidate against all still-unresolved rungs:
+// threshold, so per-target runs would all walk the same candidate sequence,
+// each stopping at its own first success. The engine therefore enumerates
+// that sequence once and verifies every candidate against all still-open
+// rungs:
 //
 //   - Under VerifyLP / VerifyShift one exact OPF solve per candidate yields
 //     the post-attack minimum cost, which is compared against every rung's
@@ -32,74 +35,53 @@ import (
 //     constraints are constructed once — answers every rung's Eq. 38/37
 //     query pair through retractable assumption literals (see
 //     opf.FeasibilityModel.Incremental), reusing the solver's learned
-//     clauses and simplex state across rungs.
+//     clauses and simplex state across rungs. When NoIncremental or Certify
+//     selects the cold encoding, each open rung gets its own
+//     assertion-based model instead; the candidate search stays shared.
 //
 // Per-rung verdicts (Found, Exhausted, Canceled, Iterations, Vector,
-// AttackedCost) are identical to running Analyzer.Run once per target for
+// AttackedCost) are identical to running the ladder once per target for
 // every rung that no per-query budget interrupts: Sat/Unsat outcomes are
 // pure logic, so sharing solver state cannot change them. When a budget
-// (MaxConflicts, MaxPivots, QueryTimeout) does bind, the two paths may
-// cancel at different points — the incremental path reuses learned clauses
-// and simplex state and typically gets further on the same budget, so a
-// rung the cold path reports Canceled can resolve to a real verdict here.
-// Rungs where neither path cancels still match exactly. Timing and
-// statistics fields are attributions of shared work (each rung's report
-// charges the full shared candidate-search time it consumed, and
-// SolverStats totals ladder-wide effort, so summing across reports
-// double-counts). The LODF prescreen is not consulted on the incremental
-// path — it only ever certifies failures, so verdicts are unaffected.
+// (MaxConflicts, MaxPivots, QueryTimeout) does bind, the encodings may
+// cancel at different points — the incremental one reuses learned clauses
+// and simplex state and typically gets further on the same budget. A
+// cancelled rung closes without stopping the others. Timing and statistics
+// fields are attributions of shared work (each rung's report charges the
+// full shared candidate-search time it consumed, and SolverStats totals
+// ladder-wide effort, so summing across reports double-counts).
 //
-// When NoIncremental or Certify is set, RunLadder falls back to exactly that
-// naive sweep: one independent cold Run per target. CheckpointPath is not
-// supported in either mode (a journal fingerprints a single threshold);
-// callers wanting resumability should run the rungs as separate checkpointed
-// Runs.
+// With Parallelism > 1, a clone of the attack model speculatively searches
+// for the next candidate while the current one is verified, assuming it
+// leaves some rung open (the common case — the clone blocks the candidate
+// exactly as the loop would). When it does, the clone and its result are
+// adopted wholesale, so the candidate sequence is bit-for-bit the
+// sequential one; otherwise the speculation is interrupted and discarded.
+//
+// CheckpointPath and JournalObserver apply to the whole ladder: one journal
+// records every iteration's per-rung outcomes (see JournalRecord).
 func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
+	start := time.Now()
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("%w: ladder needs at least one target", ErrConfig)
 	}
-	if a.CheckpointPath != "" {
-		return nil, fmt.Errorf("%w: RunLadder does not support CheckpointPath (journals fingerprint a single threshold)", ErrConfig)
+	if a.Grid == nil || a.Plan == nil {
+		return nil, fmt.Errorf("%w: grid and plan are required", ErrConfig)
 	}
 	for _, t := range targets {
 		if t <= 0 {
 			return nil, fmt.Errorf("%w: target increase must be positive", ErrConfig)
 		}
 	}
-	if !a.incremental() {
-		reports := make([]*Report, len(targets))
-		for i, t := range targets {
-			sub := *a
-			sub.TargetIncreasePercent = t
-			rep, err := sub.Run()
-			if err != nil {
-				return nil, err
-			}
-			reports[i] = rep
-		}
-		return reports, nil
+	e := &engine{a: a, mode: a.Verify, maxIter: a.MaxIterations, par: a.Parallelism}
+	if e.mode == 0 {
+		e.mode = VerifyLP
 	}
-	return a.runLadderIncremental(targets)
-}
-
-// rung is one target's in-progress state inside the incremental ladder.
-type rung struct {
-	rep      *Report
-	resolved bool // Found, Exhausted, Canceled, or iteration budget hit
-}
-
-func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
-	start := time.Now()
-	if a.Grid == nil || a.Plan == nil {
-		return nil, fmt.Errorf("%w: grid and plan are required", ErrConfig)
+	if e.maxIter <= 0 {
+		e.maxIter = 200
 	}
-	maxIter := a.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	mode := a.Verify
-	if mode == 0 {
-		mode = VerifyLP
+	if e.par == 0 {
+		e.par = runtime.GOMAXPROCS(0)
 	}
 
 	trueTopo := a.Grid.TrueTopology()
@@ -107,6 +89,26 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: attack-free OPF: %w", err)
 	}
+	for _, t := range targets {
+		e.rungs = append(e.rungs, &Report{BaselineCost: base.Cost, Threshold: base.Cost * (1 + t/100)})
+	}
+
+	if a.CheckpointPath != "" {
+		done, err := e.resume(targets)
+		if e.cp != nil {
+			defer e.cp.j.Close()
+		}
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return e.finish(start), nil
+		}
+	} else if a.JournalObserver != nil {
+		// No journal file: the observer still sees every record as made.
+		e.cp = &checkpoint{observer: a.JournalObserver}
+	}
+
 	dispatch := a.OperatingDispatch
 	if dispatch == nil {
 		dispatch = base.Dispatch
@@ -115,217 +117,431 @@ func (a *Analyzer) runLadderIncremental(targets []float64) ([]*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: operating point: %w", err)
 	}
-
-	model, err := attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
+	e.model, err = attack.NewModel(a.Grid, a.Plan, a.Capability, pf)
 	if err != nil {
 		return nil, err
 	}
-	model.MaxConflicts = a.MaxConflicts
-	model.MaxDuration = a.QueryTimeout
-	model.MaxPivots = a.MaxPivots
+	e.model.MaxConflicts = a.MaxConflicts
+	e.model.MaxDuration = a.QueryTimeout
+	e.model.MaxPivots = a.MaxPivots
+	e.model.Certify = a.Certify
 
-	var fac *dist.Factors
-	if mode == VerifyShift {
-		fac, err = dist.New(a.Grid, trueTopo)
+	switch e.mode {
+	case VerifyLP:
+		e.ws = opf.NewWarmSolver(a.Grid)
+	case VerifySMT:
+		// The ladder-wide expression builder: every per-candidate
+		// incremental verification model interns its constraints through
+		// it, so nodes (and their lowered formulas) common across candidates
+		// are built once.
+		e.vb = expr.NewBuilder()
+	case VerifyShift:
+		e.fac, err = dist.New(a.Grid, trueTopo)
 		if err != nil {
 			return nil, fmt.Errorf("core: shift factors: %w", err)
 		}
-	}
-	var ws *opf.WarmSolver
-	if mode == VerifyLP {
-		ws = opf.NewWarmSolver(a.Grid)
-	}
-
-	rungs := make([]*rung, len(targets))
-	for i, t := range targets {
-		rungs[i] = &rung{rep: &Report{
-			BaselineCost: base.Cost,
-			Threshold:    base.Cost * (1 + t/100),
-		}}
-	}
-	unresolved := func() []*rung {
-		var out []*rung
-		for _, r := range rungs {
-			if !r.resolved {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-
-	// vb is the ladder-wide expression builder: every per-candidate
-	// verification model interns its constraints through it, so nodes (and
-	// their lowered formulas) common across candidates are built once.
-	vb := expr.NewBuilder()
-	acc := &statsAcc{}
-	ctx := context.Background()
-	iter := 0
-
-	for {
-		open := unresolved()
-		if len(open) == 0 || iter >= maxIter {
-			break
-		}
-		t0 := time.Now()
-		v, err := model.FindVector()
-		findTime := time.Since(t0)
-		// Every open rung's per-target run would have executed this same
-		// search, so each is charged its full cost.
-		for _, r := range open {
-			r.rep.AttackSearchTime += findTime
-		}
-		if errors.Is(err, smt.ErrCanceled) {
-			for _, r := range open {
-				r.rep.Canceled = true
-				r.resolved = true
-			}
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			for _, r := range open {
-				r.rep.Exhausted = true
-				r.resolved = true
-			}
-			break
-		}
-		iter++
-		for _, r := range open {
-			r.rep.Iterations = iter
-		}
-
-		if err := a.ladderVerify(ctx, mode, v, fac, ws, vb, open, acc); err != nil {
-			return nil, err
-		}
-
-		if len(unresolved()) == 0 {
-			break
-		}
-		model.Block(v, a.BlockPrecision)
-	}
-
-	if ws != nil {
-		st := ws.Stats()
-		for _, r := range rungs {
-			r.rep.LPStats = st
-		}
-	}
-	acc.add(model.Solver().Stats())
-	st := acc.snapshot()
-	elapsed := time.Since(start)
-	reports := make([]*Report, len(rungs))
-	for i, r := range rungs {
-		r.rep.SolverStats = st
-		r.rep.Elapsed = elapsed
-		reports[i] = r.rep
-	}
-	return reports, nil
-}
-
-// ladderVerify verifies one candidate against every open rung and resolves
-// the rungs it satisfies (or cancels).
-func (a *Analyzer) ladderVerify(ctx context.Context, mode VerifyMode, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver, vb *expr.Builder, open []*rung, acc *statsAcc) error {
-	switch mode {
-	case VerifyLP, VerifyShift:
-		t0 := time.Now()
-		cost, converged, err := a.ladderCost(mode, v, fac, ws)
-		vt := time.Since(t0)
-		for _, r := range open {
-			r.rep.VerifyTime += vt
-		}
-		if err != nil {
-			return err
-		}
-		for _, r := range open {
-			if converged && cost >= r.rep.Threshold {
-				r.rep.Found = true
-				r.rep.Vector = v
-				r.rep.AttackedCost = cost
-				r.resolved = true
-			}
-		}
-		return nil
-
-	case VerifySMT:
-		fm, err := opf.NewFeasibilityModelShared(vb, a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
-		if err != nil {
-			return err
-		}
-		defer func() { acc.add(fm.Stats()) }()
-		fm.Incremental = true
-		fm.MaxPivots = a.MaxPivots
-		for _, r := range open {
-			t0 := time.Now()
-			reached, err := ladderSMTQuery(ctx, fm, r.rep.Threshold)
-			r.rep.VerifyTime += time.Since(t0)
-			if errors.Is(err, smt.ErrCanceled) {
-				// Budget exhaustion is per rung, exactly as the rung's own
-				// Run would have recorded it; the other rungs continue.
-				r.rep.Canceled = true
-				r.resolved = true
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			if reached {
-				r.rep.Found = true
-				r.rep.Vector = v
-				// AttackedCost stays 0 under VerifySMT certification,
-				// matching Run.
-				r.resolved = true
-			}
-		}
-		return nil
-
 	default:
-		return fmt.Errorf("%w: unknown verify mode %v", ErrConfig, mode)
+		return nil, fmt.Errorf("%w: unknown verify mode %v", ErrConfig, e.mode)
 	}
-}
 
-// ladderCost computes the candidate's exact post-attack OPF minimum for the
-// cost-based verification modes. converged=false reports Eq. 38
-// non-convergence (never a success, at any threshold).
-func (a *Analyzer) ladderCost(mode VerifyMode, v *attack.Vector, fac *dist.Factors, ws *opf.WarmSolver) (cost float64, converged bool, err error) {
-	var sol *opf.Solution
-	switch mode {
-	case VerifyLP:
-		sol, err = ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
-	case VerifyShift:
-		outage := 0
-		if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {
-			outage = v.ExcludedLines[0]
-		} else if len(v.ExcludedLines) != 0 || len(v.IncludedLines) != 0 {
-			return 0, false, fmt.Errorf("%w: shift-factor verification handles single-line exclusions only", ErrConfig)
+	if err := e.loop(); err != nil {
+		return nil, err
+	}
+	if e.cp != nil && len(e.open()) == 0 {
+		fin := JournalRecord{Kind: RecFinal}
+		for _, r := range e.rungs {
+			if !r.Found && !r.Exhausted {
+				return e.finish(start), nil // cancelled: never finalized
+			}
+			fin.Verdicts = append(fin.Verdicts, RungVerdict{Found: r.Found, Exhausted: r.Exhausted,
+				Iterations: r.Iterations, Vector: r.Vector, AttackedCost: r.AttackedCost})
 		}
-		sol, err = opf.SolveShift(a.Grid, fac, outage, v.ObservedLoads)
+		if err := e.cp.append(&fin); err != nil {
+			return nil, err
+		}
 	}
-	if errors.Is(err, opf.ErrInfeasible) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return sol.Cost, true, nil
+	return e.finish(start), nil
 }
 
-// ladderSMTQuery runs one rung's Eq. 38 / Eq. 37 pair against the shared
-// incremental feasibility model: the attack succeeds at this threshold when
-// OPF still converges for a generous budget while no dispatch stays below
-// the threshold itself.
-func ladderSMTQuery(ctx context.Context, fm *opf.FeasibilityModel, threshold float64) (bool, error) {
-	converges, err := fm.CheckCostBelow(ctx, threshold*10)
+// engine is one RunLadder call's state.
+type engine struct {
+	a       *Analyzer
+	mode    VerifyMode
+	maxIter int
+	par     int
+	rungs   []*Report
+
+	model *attack.Model
+	ws    *opf.WarmSolver // VerifyLP
+	vb    *expr.Builder   // VerifySMT
+	fac   *dist.Factors   // VerifyShift
+	stats smt.Stats       // verification models' effort, plus the final model's
+
+	cp     *checkpoint
+	replay []JournalRecord // journaled iterations, replayed before any new one
+	iter   int
+}
+
+// open returns the indices of the rungs still undecided.
+func (e *engine) open() []int {
+	var out []int
+	for i, r := range e.rungs {
+		if !r.Found && !r.Exhausted && !r.Canceled {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// resume opens the checkpoint journal. done reports a finalized journal,
+// whose verdicts have been reconstructed into the rungs without solving.
+func (e *engine) resume(targets []float64) (done bool, err error) {
+	a := e.a
+	cfg := JournalConfig{
+		Encoding:              encodingName(a.NoIncremental, a.Certify),
+		Buses:                 a.Grid.NumBuses(),
+		Lines:                 a.Grid.NumLines(),
+		BaselineCost:          e.rungs[0].BaselineCost,
+		Targets:               targets,
+		MaxIterations:         e.maxIter,
+		VerifyMode:            int(e.mode),
+		BlockPrecision:        a.BlockPrecision,
+		MaxMeasurements:       a.Capability.MaxMeasurements,
+		MaxBuses:              a.Capability.MaxBuses,
+		States:                a.Capability.States,
+		RequireTopologyChange: a.Capability.RequireTopologyChange,
+	}
+	for _, r := range e.rungs {
+		cfg.Thresholds = append(cfg.Thresholds, r.Threshold)
+	}
+	j, recs, err := openCheckpoint(a.CheckpointPath, cfg)
 	if err != nil {
 		return false, err
 	}
-	if !converges {
-		return false, nil
+	e.cp = &checkpoint{j: j, observer: a.JournalObserver}
+	if a.JournalObserver != nil {
+		for _, rec := range recs {
+			a.JournalObserver(rec)
+		}
+	}
+	if n := len(recs); n > 0 && recs[n-1].Kind == RecFinal {
+		fin := recs[n-1]
+		if len(fin.Verdicts) != len(e.rungs) {
+			return false, fmt.Errorf("%w: final record holds %d verdicts for %d rungs", ErrJournal, len(fin.Verdicts), len(e.rungs))
+		}
+		for i, v := range fin.Verdicts {
+			r := e.rungs[i]
+			r.Found, r.Exhausted, r.Vector, r.AttackedCost = v.Found, v.Exhausted, v.Vector, v.AttackedCost
+			r.Iterations, r.ResumedIterations = v.Iterations, v.Iterations
+		}
+		return true, nil
+	}
+	for _, rec := range recs {
+		if rec.Kind != RecIter {
+			return false, fmt.Errorf("%w: unexpected %q record during replay", ErrJournal, rec.Kind)
+		}
+	}
+	if len(recs) > e.maxIter {
+		return false, fmt.Errorf("%w: journal holds more iterations than the configured maximum", ErrJournal)
+	}
+	e.replay = recs
+	return false, nil
+}
+
+// loop is the Fig. 2 find–verify loop: find a stealthy candidate, verify
+// it against every open rung, block it, repeat — until no rung is open, the
+// attack space is exhausted, or the iteration cap is hit.
+func (e *engine) loop() error {
+	ctx := context.Background()
+	var spec *speculation
+	defer func() {
+		spec.stop()
+		// The surviving attack-model lineage carries cumulative counters
+		// (Clone copies them), so reading the final model once covers the
+		// whole chain of speculative clones that became the model.
+		e.stats.Add(e.model.Solver().Stats())
+	}()
+	for {
+		open := e.open()
+		if len(open) == 0 || e.iter >= e.maxIter {
+			return nil
+		}
+		var v *attack.Vector
+		var err error
+		var took time.Duration
+		if spec != nil {
+			<-spec.done
+			spec.cancel()
+			e.model, v, err, took = spec.model, spec.v, spec.err, spec.took
+			spec = nil
+		} else {
+			// Nothing to overlap with: give the search the full portfolio.
+			t0 := time.Now()
+			v, err = e.model.FindVectorPortfolio(ctx, e.par)
+			took = time.Since(t0)
+		}
+		for _, i := range open {
+			e.rungs[i].AttackSearchTime += took
+		}
+		if errors.Is(err, smt.ErrCanceled) {
+			for _, i := range open {
+				e.rungs[i].Canceled = true
+			}
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if v == nil {
+			if e.iter < len(e.replay) {
+				return fmt.Errorf("%w: iteration %d: the search exhausted where the journal records a candidate", ErrJournal, e.iter+1)
+			}
+			for _, i := range open {
+				e.rungs[i].Exhausted = true
+			}
+			return nil
+		}
+		e.iter++
+		for _, i := range open {
+			e.rungs[i].Iterations = e.iter
+		}
+		var rec *JournalRecord
+		if e.iter <= len(e.replay) {
+			rec = &e.replay[e.iter-1]
+			if !vectorsEqual(v, rec.Vector) {
+				return fmt.Errorf("%w: iteration %d regenerated a different candidate than the journal records (was the input changed?)", ErrJournal, e.iter)
+			}
+		}
+		if e.par > 1 && e.iter < e.maxIter {
+			spec = e.speculate(ctx, v)
+		}
+		if err := e.verify(ctx, v, open, rec); err != nil {
+			return err
+		}
+		if spec == nil {
+			e.model.Block(v, e.a.BlockPrecision)
+		}
+	}
+}
+
+// speculation is the search for the next candidate on a clone of the model
+// that already blocks the current one.
+type speculation struct {
+	done   chan struct{}
+	cancel context.CancelFunc
+	model  *attack.Model
+	v      *attack.Vector
+	err    error
+	took   time.Duration
+}
+
+func (e *engine) speculate(ctx context.Context, v *attack.Vector) *speculation {
+	sctx, cancel := context.WithCancel(ctx)
+	s := &speculation{done: make(chan struct{}), cancel: cancel}
+	model := e.model // not touched by the loop until the speculation is joined
+	go func() {
+		defer close(s.done)
+		t0 := time.Now()
+		s.model = model.Clone()
+		s.model.Block(v, e.a.BlockPrecision)
+		// Sequential search: the verification holds the other workers.
+		s.v, s.err = s.model.FindVectorPortfolio(sctx, 1)
+		s.took = time.Since(t0)
+	}()
+	return s
+}
+
+// stop interrupts a speculation no rung needs and waits for it.
+func (s *speculation) stop() {
+	if s != nil {
+		s.cancel()
+		<-s.done
+	}
+}
+
+// verify decides candidate v against the open rungs: outcomes the journal
+// record rec holds are replayed, the rest verified. A fresh iteration is
+// journaled before the loop acts on it; a replayed one is not journaled
+// again, so outcomes verified during replay (a rung whose verification a
+// budget had cancelled) are recomputed by any later resume.
+func (e *engine) verify(ctx context.Context, v *attack.Vector, open []int, rec *JournalRecord) error {
+	var live []int
+	for _, i := range open {
+		switch {
+		case rec != nil && slices.Contains(rec.Reached, i):
+			e.rungs[i].ResumedIterations++
+			e.reach(i, v, rec.Cost)
+		case rec != nil && slices.Contains(rec.Missed, i):
+			e.rungs[i].ResumedIterations++
+		default:
+			live = append(live, i)
+		}
+	}
+	if len(live) == 0 {
+		if e.ws != nil {
+			// The warm-start cache must evolve as in the uninterrupted run,
+			// or a later solve starts from another basis and its cost can
+			// differ in the last bits: redo the cheap LP solve, keep the
+			// journaled outcome.
+			if _, err := e.ws.SolveTopology(v.MappedTopology, v.ObservedLoads); err != nil && !errors.Is(err, opf.ErrInfeasible) {
+				return err
+			}
+		}
+		return nil
+	}
+	out := JournalRecord{Kind: RecIter, Iter: e.iter, Vector: v}
+	if err := e.check(ctx, v, live, &out); err != nil {
+		return err
+	}
+	if rec != nil || e.cp == nil {
+		return nil
+	}
+	return e.cp.append(&out)
+}
+
+// reach resolves rung i as Found by candidate v.
+func (e *engine) reach(i int, v *attack.Vector, cost float64) {
+	r := e.rungs[i]
+	r.Found, r.Vector, r.AttackedCost = true, v, cost
+}
+
+// check verifies v against the live rungs: the operator reruns OPF on the
+// poisoned topology with the attack's load estimates. An attack succeeds at
+// a rung when the resulting minimum cost is at least its threshold while
+// OPF still converges (Eq. 38: the attacker avoids non-convergent
+// outcomes). Each definitive outcome is recorded in out; a rung whose
+// verification a budget cancels closes as Canceled.
+func (e *engine) check(ctx context.Context, v *attack.Vector, live []int, out *JournalRecord) error {
+	record := func(i int, reached bool) {
+		if reached {
+			e.reach(i, v, out.Cost)
+			out.Reached = append(out.Reached, i)
+		} else {
+			out.Missed = append(out.Missed, i)
+		}
+	}
+	t0 := time.Now()
+	if e.mode != VerifySMT {
+		var sol *opf.Solution
+		var err error
+		if e.mode == VerifyLP {
+			sol, err = e.ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
+		} else {
+			sol, err = e.shiftSolve(v)
+		}
+		took := time.Since(t0)
+		for _, i := range live {
+			e.rungs[i].VerifyTime += took
+		}
+		if err != nil && !errors.Is(err, opf.ErrInfeasible) {
+			return err
+		}
+		// Eq. 38: non-convergence is not a success at any threshold.
+		converged := err == nil
+		if converged {
+			out.Cost = sol.Cost
+		}
+		for _, i := range live {
+			record(i, converged && sol.Cost >= e.rungs[i].Threshold)
+		}
+		return nil
+	}
+
+	// VerifySMT: one OPF feasibility model answers both the Eq. 38 and the
+	// Eq. 37 query of a rung, with the topology/load constraints encoded
+	// once. Incrementally one model serves every rung; cold, each rung
+	// asserts its caps permanently and needs a model of its own. Cost stays
+	// 0: the verdict is certified, not computed.
+	var fm *opf.FeasibilityModel
+	for _, i := range live {
+		if fm == nil || !fm.Incremental {
+			var err error
+			if fm, err = e.feasibility(v); err != nil {
+				return err
+			}
+			defer func(fm *opf.FeasibilityModel) { e.stats.Add(fm.Stats()) }(fm)
+		}
+		reached, err := reaches(ctx, fm, e.rungs[i].Threshold)
+		e.rungs[i].VerifyTime += time.Since(t0)
+		t0 = time.Now()
+		if errors.Is(err, smt.ErrCanceled) {
+			e.rungs[i].Canceled = true
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		record(i, reached)
+	}
+	return nil
+}
+
+// feasibility encodes the OPF feasibility model of candidate v's poisoned
+// topology and load estimates.
+func (e *engine) feasibility(v *attack.Vector) (*opf.FeasibilityModel, error) {
+	a := e.a
+	var fm *opf.FeasibilityModel
+	var err error
+	if a.incremental() {
+		fm, err = opf.NewFeasibilityModelShared(e.vb, a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
+	} else {
+		fm, err = opf.NewFeasibilityModel(a.Grid, v.MappedTopology, v.ObservedLoads, a.MaxConflicts, a.QueryTimeout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	fm.Incremental = a.incremental()
+	fm.Parallelism = max(1, e.par-1) // the speculative search holds one worker
+	fm.MaxPivots = a.MaxPivots
+	fm.Certify = a.Certify
+	return fm, nil
+}
+
+// shiftSolve is the VerifyShift OPF: the PTDF/LODF shift-factor solve for
+// the candidate's single excluded line (0 = the intact network).
+func (e *engine) shiftSolve(v *attack.Vector) (*opf.Solution, error) {
+	outage := 0
+	if len(v.ExcludedLines) == 1 && len(v.IncludedLines) == 0 {
+		outage = v.ExcludedLines[0]
+	} else if len(v.ExcludedLines) != 0 || len(v.IncludedLines) != 0 {
+		return nil, fmt.Errorf("%w: shift-factor verification handles single-line exclusions only", ErrConfig)
+	}
+	return opf.SolveShift(e.a.Grid, e.fac, outage, v.ObservedLoads)
+}
+
+// reaches runs one rung's Eq. 38 / Eq. 37 pair on fm: the attack succeeds at
+// threshold when OPF still converges for a generous budget while no
+// dispatch stays below the threshold itself. On the cold path the caps are
+// permanent assertions, so the generous cap must come first; unsat at the
+// generous cap implies unsat at the tight one, which also makes the two
+// paths verdict-identical.
+func reaches(ctx context.Context, fm *opf.FeasibilityModel, threshold float64) (bool, error) {
+	converges, err := fm.CheckCostBelow(ctx, threshold*10)
+	if err != nil || !converges {
+		return false, err
 	}
 	below, err := fm.CheckCostBelow(ctx, threshold)
 	if err != nil {
 		return false, err
 	}
 	return !below, nil
+}
+
+// incremental reports whether this analysis uses the assumption-based
+// (incremental) SMT encoding for verification cost caps.
+func (a *Analyzer) incremental() bool {
+	return encodingName(a.NoIncremental, a.Certify) == "incremental"
+}
+
+// finish stamps the shared statistics onto every rung's report.
+func (e *engine) finish(start time.Time) []*Report {
+	elapsed := time.Since(start)
+	for _, r := range e.rungs {
+		if e.ws != nil {
+			r.LPStats = e.ws.Stats()
+		}
+		r.SolverStats = e.stats
+		r.Elapsed = elapsed
+	}
+	return e.rungs
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gridattack/internal/cases"
 	"gridattack/internal/smt"
 )
 
@@ -61,7 +62,9 @@ func TestRunLadderColdMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestRunLadderConfig: invalid ladder configurations are refused up front.
+// TestRunLadderConfig: invalid ladder configurations are refused up front,
+// and a checkpointed ladder resumes from its journal — which fingerprints
+// the whole threshold set.
 func TestRunLadderConfig(t *testing.T) {
 	a := cs1Analyzer(1)
 	if _, err := a.RunLadder(nil); !errors.Is(err, ErrConfig) {
@@ -71,8 +74,122 @@ func TestRunLadderConfig(t *testing.T) {
 		t.Errorf("negative target: err=%v, want ErrConfig", err)
 	}
 	a.CheckpointPath = filepath.Join(t.TempDir(), "ladder.journal")
-	if _, err := a.RunLadder([]float64{1, 2}); !errors.Is(err, ErrConfig) {
-		t.Errorf("checkpointed ladder: err=%v, want ErrConfig", err)
+	if _, err := a.RunLadder([]float64{1, 2}); err != nil {
+		t.Fatalf("checkpointed ladder: %v", err)
+	}
+	again, err := a.RunLadder([]float64{1, 2})
+	if err != nil {
+		t.Fatalf("checkpointed ladder resume: %v", err)
+	}
+	for i, rep := range again {
+		if rep.Iterations == 0 || rep.ResumedIterations != rep.Iterations {
+			t.Errorf("rung %d: finalized re-run resumed %d of %d iterations", i, rep.ResumedIterations, rep.Iterations)
+		}
+	}
+	if _, err := a.RunLadder([]float64{1, 3}); !errors.Is(err, ErrJournal) {
+		t.Errorf("other threshold set on the same journal: err=%v, want ErrJournal", err)
+	}
+}
+
+// runLadderAt runs a copy of the analyzer's ladder at the given parallelism.
+func runLadderAt(t *testing.T, a Analyzer, targets []float64, par int) []*Report {
+	t.Helper()
+	a.Parallelism = par
+	reps, err := a.RunLadder(targets)
+	if err != nil {
+		t.Fatalf("RunLadder(parallelism=%d): %v", par, err)
+	}
+	return reps
+}
+
+// TestLadderCheckpointResume truncates a ladder's journal at every
+// iteration boundary and resumes it: every rung must reach the verdict of
+// the uninterrupted ladder, replaying exactly the journaled iterations it
+// took part in. The ieee14 ladder resolves its rungs at different
+// iterations (found at 1, 3 and 5; the last rung hits the iteration cap),
+// and odd truncation points resume through the speculative pipeline.
+func TestLadderCheckpointResume(t *testing.T) {
+	ieee := *NewScenario(cases.Registry()["ieee14"], ScenarioConfig{Seed: 6, States: true}).Analyzer(1)
+	ieee.MaxIterations = 8
+	for _, tc := range []struct {
+		name    string
+		a       Analyzer
+		targets []float64
+	}{
+		{"cs1", cs1Analyzer(1), ladderTargets},
+		{"ieee14", ieee, []float64{0.3, 0.6, 0.75, 1.5}},
+	} {
+		for _, mode := range []VerifyMode{VerifyLP, VerifySMT} {
+			a := tc.a
+			a.Verify = mode
+			ref := runLadderAt(t, a, tc.targets, 1)
+
+			cp := filepath.Join(t.TempDir(), "ladder.journal")
+			b := a
+			b.CheckpointPath = cp
+			iters := 0
+			for i, rep := range runLadderAt(t, b, tc.targets, 1) {
+				requireSameVerdict(t, ref[i], rep, 1)
+				iters = max(iters, rep.Iterations)
+			}
+			for keep := 0; keep <= iters; keep++ {
+				c := a
+				c.CheckpointPath = truncateJournal(t, cp, keep)
+				for i, rep := range runLadderAt(t, c, tc.targets, 1+keep%2) {
+					requireSameVerdict(t, ref[i], rep, 1)
+					if want := min(keep, ref[i].Iterations); rep.ResumedIterations != want {
+						t.Errorf("%s %v rung %v%%, resumed after %d iterations: ResumedIterations=%d, want %d",
+							tc.name, mode, tc.targets[i], keep, rep.ResumedIterations, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLadderResumeReverifiesCancelled: a tight MaxPivots budget cancels one
+// SMT rung's verification while the others resolve. The cancellation is not
+// journaled as an outcome, so resuming without the budget verifies that
+// rung again and reaches the unbudgeted verdict; the journal is then
+// finalized.
+func TestLadderResumeReverifiesCancelled(t *testing.T) {
+	// Pin the incremental encoding: the budget below is calibrated to it.
+	defer smt.SetCertifyDefault(smt.SetCertifyDefault(false))
+	a := cs1Analyzer(1)
+	a.Verify = VerifySMT
+	ref := runLadderAt(t, a, ladderTargets, 1)
+
+	cp := filepath.Join(t.TempDir(), "ladder.journal")
+	tight := a
+	tight.CheckpointPath = cp
+	tight.MaxPivots = 10
+	budgeted := runLadderAt(t, tight, ladderTargets, 1)
+	if !budgeted[0].Canceled || budgeted[1].Canceled || !budgeted[1].Found {
+		t.Fatalf("MaxPivots=10 must cancel only the first rung: %+v / %+v", budgeted[0], budgeted[1])
+	}
+	for i := 1; i < len(ladderTargets); i++ {
+		requireSameVerdict(t, ref[i], budgeted[i], 1)
+	}
+
+	// Same budget: the rung is verified again and cancels again.
+	again := runLadderAt(t, tight, ladderTargets, 1)
+	if !again[0].Canceled || again[0].ResumedIterations != 0 {
+		t.Fatalf("budgeted resume: canceled=%v resumed=%d, want a fresh cancellation", again[0].Canceled, again[0].ResumedIterations)
+	}
+
+	loose := a
+	loose.CheckpointPath = cp
+	resumed := runLadderAt(t, loose, ladderTargets, 1)
+	for i := range ladderTargets {
+		requireSameVerdict(t, ref[i], resumed[i], 1)
+	}
+	if resumed[0].ResumedIterations != 0 || resumed[1].ResumedIterations != 1 {
+		t.Fatalf("resumed iterations %d/%d, want 0 for the re-verified rung and 1 for the replayed one",
+			resumed[0].ResumedIterations, resumed[1].ResumedIterations)
+	}
+	fast := runLadderAt(t, loose, ladderTargets, 1)
+	if fast[0].ResumedIterations != fast[0].Iterations || fast[0].AttackSearchTime != 0 {
+		t.Fatalf("journal not finalized after the re-verified resume: %+v", fast[0])
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gridattack/internal/attack"
 	"gridattack/internal/dist"
@@ -58,9 +56,8 @@ const prescreenMargin = 1e-6
 //     capacities, so it certifies mostly on lightly-loaded networks.
 //
 // Any candidate the prescreen cannot certify (outage islands the network,
-// witness infeasible, cost or a flow within the margin) falls through to the
-// full verification, so enabling the prescreen never changes a verdict —
-// only skips work.
+// witness infeasible, cost or a flow within the margin) is left to the full
+// verification: ScreenExclusions flags it.
 type prescreener struct {
 	g         *grid.Grid
 	fac       *dist.Factors
@@ -74,11 +71,8 @@ type prescreener struct {
 	baseLoads []float64
 
 	// Interior witnesses, most headroom first; built on first use.
-	interiorOnce sync.Once
-	interior     []witnessDispatch
-
-	screened atomic.Int64 // candidates examined
-	pruned   atomic.Int64 // candidates discarded without verification
+	interiorBuilt bool
+	interior      []witnessDispatch
 }
 
 // witnessDispatch is one concrete cap-headroom dispatch with its exact cost.
@@ -162,20 +156,22 @@ func (ps *prescreener) witness(total float64) (gen []float64, cost float64, ok b
 // once; called only for candidates that observe the true loads, which are
 // exactly the loads these dispatches balance.
 func (ps *prescreener) buildInterior() {
-	ps.interiorOnce.Do(func() {
-		costMargin := prescreenMargin * (1 + math.Abs(ps.threshold))
-		for _, eps := range interiorEps {
-			gt := ps.g.Clone()
-			for i := range gt.Lines {
-				gt.Lines[i].Capacity *= 1 - eps
-			}
-			sol, err := opf.Solve(gt, gt.TrueTopology(), nil)
-			if err != nil || sol.Cost >= ps.threshold-costMargin {
-				continue
-			}
-			ps.interior = append(ps.interior, witnessDispatch{gen: sol.Dispatch, cost: sol.Cost})
+	if ps.interiorBuilt {
+		return
+	}
+	ps.interiorBuilt = true
+	costMargin := prescreenMargin * (1 + math.Abs(ps.threshold))
+	for _, eps := range interiorEps {
+		gt := ps.g.Clone()
+		for i := range gt.Lines {
+			gt.Lines[i].Capacity *= 1 - eps
 		}
-	})
+		sol, err := opf.Solve(gt, gt.TrueTopology(), nil)
+		if err != nil || sol.Cost >= ps.threshold-costMargin {
+			continue
+		}
+		ps.interior = append(ps.interior, witnessDispatch{gen: sol.Dispatch, cost: sol.Cost})
+	}
 }
 
 // baselineApplies reports whether the baseline-dispatch witness serves the
@@ -236,7 +232,6 @@ func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	if len(loads) != ps.g.NumBuses() {
 		return 0, false
 	}
-	ps.screened.Add(1)
 
 	outage := 0
 	if len(v.ExcludedLines) == 1 {
@@ -249,13 +244,11 @@ func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	// so they only apply when the candidate observes them unchanged.
 	if ps.baselineApplies(loads) {
 		if ps.baseCost < ps.threshold-costMargin && ps.certify(ps.baseGen, loads, outage) {
-			ps.pruned.Add(1)
 			return ps.baseCost, true
 		}
 		ps.buildInterior()
 		for _, w := range ps.interior {
 			if w.cost < ps.threshold-costMargin && ps.certify(w.gen, loads, outage) {
-				ps.pruned.Add(1)
 				return w.cost, true
 			}
 		}
@@ -268,7 +261,6 @@ func (ps *prescreener) prune(v *attack.Vector) (float64, bool) {
 	}
 	gen, cost, ok := ps.witness(total)
 	if ok && cost < ps.threshold-costMargin && ps.certify(gen, loads, outage) {
-		ps.pruned.Add(1)
 		return cost, true
 	}
 	return 0, false

@@ -27,7 +27,7 @@ func abAnalyzer(target float64, verify VerifyMode) *Analyzer {
 }
 
 // reportKernel is the part of a Report that must be invariant under the
-// prescreen and warm-start optimizations.
+// warm-start optimization.
 type reportKernel struct {
 	baseline, threshold float64
 	found, exhausted    bool
@@ -51,38 +51,32 @@ func kernel(rep *Report) reportKernel {
 	return k
 }
 
-// TestPrescreenWarmStartABIdentity: across the Fig. 2 cost-cap ladder, every
-// report field that constitutes a verdict must be bit-identical with the
-// optimizations enabled and disabled, for both LP-backed verify modes.
+// TestPrescreenWarmStartABIdentity: across the Fig. 2 cost-cap ladder,
+// every report field that constitutes a verdict must be bit-identical with
+// LP warm starts enabled and disabled, for both LP-backed verify modes. (The
+// prescreen half of this A/B went with the in-loop prescreen; the name is
+// kept so the test's history stays traceable.)
 func TestPrescreenWarmStartABIdentity(t *testing.T) {
 	for _, mode := range []VerifyMode{VerifyLP, VerifyShift} {
 		for _, target := range []float64{1, 3, 6, 12} {
-			// Optimized: prescreen on, warm starts on (the defaults).
-			opt := abAnalyzer(target, mode)
-			repOpt, err := opt.Run()
+			repOpt, err := abAnalyzer(target, mode).Run()
 			if err != nil {
-				t.Fatalf("%v target=%v optimized: %v", mode, target, err)
+				t.Fatalf("%v target=%v warm: %v", mode, target, err)
 			}
 
-			// Reference: prescreen off, warm starts off.
 			lp.NoWarmStart = true
-			ref := abAnalyzer(target, mode)
-			ref.NoPrescreen = true
-			repRef, err := ref.Run()
+			repRef, err := abAnalyzer(target, mode).Run()
 			lp.NoWarmStart = false
 			if err != nil {
-				t.Fatalf("%v target=%v reference: %v", mode, target, err)
+				t.Fatalf("%v target=%v cold: %v", mode, target, err)
 			}
 
 			if kernel(repOpt) != kernel(repRef) {
-				t.Fatalf("%v target=%v verdict mismatch:\noptimized: %+v\nreference: %+v",
+				t.Fatalf("%v target=%v verdict mismatch:\nwarm: %+v\ncold: %+v",
 					mode, target, kernel(repOpt), kernel(repRef))
 			}
-			if repRef.PrescreenPruned != 0 {
-				t.Fatalf("reference run pruned %d candidates with NoPrescreen set", repRef.PrescreenPruned)
-			}
-			t.Logf("%v target=%v%%: found=%v iters=%d pruned=%d lp=%+v",
-				mode, target, repOpt.Found, repOpt.Iterations, repOpt.PrescreenPruned, repOpt.LPStats)
+			t.Logf("%v target=%v%%: found=%v iters=%d lp=%+v",
+				mode, target, repOpt.Found, repOpt.Iterations, repOpt.LPStats)
 		}
 	}
 }
@@ -114,9 +108,6 @@ func TestPrescreenPrune(t *testing.T) {
 	}
 	if cost >= base.Cost*1.05 {
 		t.Fatalf("witness cost %v not below the threshold %v", cost, base.Cost*1.05)
-	}
-	if ps.pruned.Load() != 1 {
-		t.Fatalf("pruned counter = %d, want 1", ps.pruned.Load())
 	}
 
 	// Multi-line and included-line candidates are out of scope: never prune.

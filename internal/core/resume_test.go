@@ -2,15 +2,16 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gridattack/internal/attack"
 	"gridattack/internal/cases"
+	"gridattack/internal/journal"
 )
 
 // cs1Analyzer builds the Case Study 1 analyzer used by the resume tests.
@@ -182,18 +183,12 @@ func TestCheckpointCandidateMismatch(t *testing.T) {
 	a.CheckpointPath = cp
 	runAt(t, a, 1)
 
-	data, err := os.ReadFile(cp)
+	var cfg JournalConfig
+	j, recs, err := journal.Open[JournalRecord](cp, journalVersion, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []JournalRecord
-	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-	}
+	j.Close()
 	mutated := false
 	for i := range recs {
 		if recs[i].Kind == recIter && recs[i].Vector != nil && len(recs[i].Vector.ObservedLoads) > 0 {
@@ -205,41 +200,25 @@ func TestCheckpointCandidateMismatch(t *testing.T) {
 	if !mutated {
 		t.Fatal("no iteration record with loads to mutate")
 	}
-	// Re-chain so the tampering is invisible to the integrity check and only
-	// the replay's candidate comparison can catch it.
-	var buf bytes.Buffer
-	prev := ""
-	for i := range recs {
-		recs[i].Prev = prev
-		recs[i].Hash = ""
-		h, err := recordHash(&recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i].Hash = h
-		prev = h
-		line, err := json.Marshal(&recs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+	// Re-chain under the same header so the tampering is invisible to the
+	// integrity check and only the replay's candidate comparison can catch
+	// it. The final record is dropped so the run replays instead of
+	// fast-pathing.
+	if n := len(recs); recs[n-1].Kind == recFinal {
+		recs = recs[:n-1]
 	}
-	if err := os.WriteFile(cp, buf.Bytes(), 0o644); err != nil {
+	if j, err = journal.Create(cp, journalVersion, cfg); err != nil {
 		t.Fatal(err)
 	}
-
-	// Drop the final record so the run replays instead of fast-pathing.
-	n := len(recs)
-	if recs[n-1].Kind == recFinal {
-		trimmed := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
-		out := append(bytes.Join(trimmed[:n-1], []byte("\n")), '\n')
-		if err := os.WriteFile(cp, out, 0o644); err != nil {
+	for i := range recs {
+		if err := j.Append(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	j.Close()
 
-	if _, err := a.Run(); !errors.Is(err, ErrJournal) {
-		t.Fatalf("Run with rewritten candidate: err=%v, want ErrJournal", err)
+	_, err = a.Run()
+	if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "regenerated a different candidate") {
+		t.Fatalf("Run with rewritten candidate: err=%v, want ErrJournal for a regenerated different candidate", err)
 	}
 }

@@ -57,11 +57,9 @@ type TimeRow struct {
 	// SMT-backed verification); the 'arith' benchreport artifact prints the
 	// arithmetic-kernel split from here.
 	Stats smt.Stats
-	// Pruned counts candidates the LODF prescreen discarded; LP summarizes
-	// the warm-started verification LP work (the 'sparse' artifact prints
-	// both).
-	Pruned int
-	LP     opf.WarmStats
+	// LP summarizes the warm-started verification LP work (the 'sparse'
+	// artifact prints it).
+	LP opf.WarmStats
 }
 
 // SweepConfig parameterizes a Fig. 4 style sweep.
@@ -76,9 +74,6 @@ type SweepConfig struct {
 	// the sequential reference loop so published sweep numbers stay
 	// comparable across machines by default.
 	Parallelism int
-	// NoPrescreen disables the LODF candidate prescreen (A/B baseline for
-	// the 'sparse' artifact; verdicts are identical either way).
-	NoPrescreen bool
 }
 
 func (c *SweepConfig) fill() {
@@ -115,7 +110,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 			a.MaxConflicts = cfg.MaxConflicts
 			a.QueryTimeout = QueryTimeout
 			a.Verify = cfg.Verify
-			a.NoPrescreen = cfg.NoPrescreen
 			a.Parallelism = cfg.Parallelism
 			if a.Parallelism == 0 {
 				a.Parallelism = 1
@@ -136,7 +130,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 				Search:   rep.AttackSearchTime,
 				Verify:   rep.VerifyTime,
 				Stats:    rep.SolverStats,
-				Pruned:   rep.PrescreenPruned,
 				LP:       rep.LPStats,
 			})
 		}

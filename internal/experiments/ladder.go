@@ -48,7 +48,7 @@ func (r LadderRow) Speedup() float64 {
 
 // RunLadderSpeedup measures the incremental Fig. 2 ladder (one shared
 // candidate search; under SMT verification additionally assumption-based
-// per-rung cost caps) against the cold fallback (one independent Run per
+// per-rung cost caps) against the naive sweep (one independent cold Run per
 // rung) under the given verification mode, asserting per-rung verdict
 // identity on every rung no budget interrupts. It errors on the first
 // verdict mismatch — the speedup of a wrong answer is not interesting.
@@ -79,10 +79,13 @@ func RunLadderSpeedup(caseNames []string, mode core.VerifyMode, maxConflicts int
 		incTime := time.Since(t0)
 
 		a.NoIncremental = true
+		cold := make([]*core.Report, len(LadderTargets))
 		t0 = time.Now()
-		cold, err := a.RunLadder(LadderTargets)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s cold ladder: %w", name, err)
+		for i, target := range LadderTargets {
+			a.TargetIncreasePercent = target
+			if cold[i], err = a.Run(); err != nil {
+				return nil, fmt.Errorf("experiments: %s cold run at %v%%: %w", name, target, err)
+			}
 		}
 		coldTime := time.Since(t0)
 

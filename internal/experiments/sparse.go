@@ -201,15 +201,13 @@ func RunWarmLadder(names []string) ([]WarmLadderRow, error) {
 	return rows, nil
 }
 
-// SweepABRow compares one case's Fig. 4(a) scenario sweep with the
-// prescreen and LP warm starts enabled (the default) against both disabled.
-// Verdicts are bit-identical by the prescreen/warm-start contracts; only
-// the work differs.
+// SweepABRow compares one case's Fig. 4(a) scenario sweep with LP warm
+// starts enabled (the default) against disabled. Verdicts are bit-identical
+// by the warm-start contract; only the work differs.
 type SweepABRow struct {
 	Case      string
 	Buses     int
 	On, Off   time.Duration // summed over scenarios
-	Pruned    int           // candidates the prescreen discarded (on-run)
 	LPOn      opf.WarmStats
 	LPOff     opf.WarmStats
 	Scenarios int
@@ -228,7 +226,7 @@ func RunSweepAB(names []string, maxConflicts int64) ([]SweepABRow, error) {
 			return nil, err
 		}
 		lp.NoWarmStart = true
-		off, err := RunImpactSweep(SweepConfig{Cases: []string{name}, MaxConflicts: maxConflicts, NoPrescreen: true})
+		off, err := RunImpactSweep(SweepConfig{Cases: []string{name}, MaxConflicts: maxConflicts})
 		lp.NoWarmStart = false
 		if err != nil {
 			return nil, err
@@ -237,7 +235,6 @@ func RunSweepAB(names []string, maxConflicts int64) ([]SweepABRow, error) {
 		for _, r := range on {
 			row.Buses = r.Buses
 			row.On += r.Elapsed
-			row.Pruned += r.Pruned
 			row.LPOn.Solves += r.LP.Solves
 			row.LPOn.WarmHits += r.LP.WarmHits
 			row.LPOn.Fallbacks += r.LP.Fallbacks

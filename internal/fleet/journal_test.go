@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gridattack/internal/journal"
 )
 
 func testJournalConfig() JournalConfig {
@@ -114,8 +117,11 @@ func TestJournalTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.AppendCycle(&JournalRecord{Cycle: 1, Outcome: OutcomeClean})
-	j.AppendCycle(&JournalRecord{Cycle: 2, Outcome: OutcomeClean})
+	for cycle := 1; cycle <= 2; cycle++ {
+		if err := j.AppendCycle(&JournalRecord{Cycle: cycle, Outcome: OutcomeClean}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	j.Close()
 
 	data, err := os.ReadFile(path)
@@ -130,17 +136,58 @@ func TestJournalTamperDetected(t *testing.T) {
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenJournal(path); !errors.Is(err, ErrJournal) {
+	if _, _, _, err := OpenJournal(path); !errors.Is(err, journal.ErrInvalid) {
 		t.Fatalf("tampered journal opened: %v", err)
 	}
 }
 
-func TestJournalEmptyRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.journal")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
+// TestJournalV1Format: a journal written by the previous, fleet-private
+// implementation of the format (testdata/v1.journal) must resume, and
+// writing the same records today must reproduce it byte for byte.
+func TestJournalV1Format(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "v1.journal"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := OpenJournal(path); !errors.Is(err, ErrJournal) {
-		t.Fatalf("empty journal: %v", err)
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.journal")
+	if err := os.WriteFile(old, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, cfg, recs, err := OpenJournal(old)
+	if err != nil {
+		t.Fatalf("OpenJournal(v1): %v", err)
+	}
+	if err := j.AppendCycle(&JournalRecord{Cycle: 3, Outcome: OutcomeClean}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if _, _, more, err := OpenJournal(old); err != nil || len(more) != len(recs)+1 {
+		t.Fatalf("re-open after resuming a v1 journal: %v, %d records", err, len(more))
+	}
+
+	fresh := filepath.Join(dir, "fresh.journal")
+	j, err = CreateJournal(fresh, *cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		rec := recs[i]
+		if rec.Kind == recMonitor {
+			err = j.AppendMonitor(rec.Cycle, rec.Fingerprint, rec.Verdicts)
+		} else {
+			err = j.AppendCycle(&rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	got, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rewritten journal differs from v1:\n%s\nwant\n%s", got, want)
 	}
 }

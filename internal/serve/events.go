@@ -11,7 +11,7 @@ import (
 // becomes one event, bracketed by lifecycle events from the queue.
 type Event struct {
 	Seq  int             `json:"seq"`
-	Type string          `json:"type"` // queued, started, iter, final, rung, done, failed, cached
+	Type string          `json:"type"` // queued, started, iter, final, done, failed, cached
 	Data json.RawMessage `json:"data,omitempty"`
 }
 

@@ -99,55 +99,62 @@ func referenceRun(t *testing.T, req JobRequest) (*ParsedJob, JobStatus, string) 
 // TestRestartResumeTruncatedJournal is the kill-and-restart contract at the
 // library layer: a daemon that died mid-solve leaves a request record and a
 // journal prefix; Recover on a fresh process resumes at the first incomplete
-// iteration and the verdict is bit-identical to the uninterrupted run.
+// iteration and the verdict is bit-identical to the uninterrupted run. A
+// ladder job resumes from its journal like a single-target one.
 func TestRestartResumeTruncatedJournal(t *testing.T) {
-	req := JobRequest{Input: caseInputText(t, "synth30", 1, 3), Targets: []float64{1}}
-	parsed, ref, refDir := referenceRun(t, req)
-	refRung := ref.Result.Rungs[0]
-	if refRung.Iterations < 3 {
-		t.Fatalf("reference scenario ran %d iterations; the resume test needs >= 3", refRung.Iterations)
-	}
+	for _, targets := range [][]float64{{1}, {0.5, 1, 2}} {
+		req := JobRequest{Input: caseInputText(t, "synth30", 1, 3), Targets: targets}
+		parsed, ref, refDir := referenceRun(t, req)
+		refRung := ref.Result.Rungs[0]
+		if refRung.Iterations < 3 {
+			t.Fatalf("reference scenario ran %d iterations; the resume test needs >= 3", refRung.Iterations)
+		}
 
-	journal, err := os.ReadFile(filepath.Join(refDir, parsed.Key+".journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(journal), "\n")
-	// header + first two completed iterations: a valid hash-chain prefix,
-	// exactly what an fsync'd journal holds after dying in iteration three.
-	truncated := strings.Join(lines[:3], "")
+		journal, err := os.ReadFile(filepath.Join(refDir, parsed.Key+".journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(journal), "\n")
+		// header + first two completed iterations: a valid hash-chain prefix,
+		// exactly what an fsync'd journal holds after dying in iteration three.
+		truncated := strings.Join(lines[:3], "")
 
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, parsed.Key+".journal"), []byte(truncated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reqFile, err := os.ReadFile(filepath.Join(refDir, parsed.Key+".req.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, parsed.Key+".req.json"), reqFile, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, parsed.Key+".journal"), []byte(truncated), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reqFile, err := os.ReadFile(filepath.Join(refDir, parsed.Key+".req.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, parsed.Key+".req.json"), reqFile, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	s, _ := newTestServer(t, Config{JournalDir: dir, Workers: 1})
-	reloaded, resumed, err := s.Recover()
-	if err != nil || reloaded != 0 || resumed != 1 {
-		t.Fatalf("Recover = (%d, %d, %v), want (0, 1, nil)", reloaded, resumed, err)
-	}
-	st := waitJobInProc(t, s, parsed.Key)
-	if st.State != JobDone {
-		t.Fatalf("resumed job failed: %s", st.Error)
-	}
-	rung := st.Result.Rungs[0]
-	if rung.ResumedIterations != 2 {
-		t.Fatalf("resumed %d iterations, want exactly the 2 journaled ones", rung.ResumedIterations)
-	}
-	if rung.Iterations != refRung.Iterations {
-		t.Fatalf("resumed run took %d iterations, reference took %d", rung.Iterations, refRung.Iterations)
-	}
-	if !bytes.Equal(st.Result.VerdictBytes(), ref.Result.VerdictBytes()) {
-		t.Fatalf("resumed verdict differs from uninterrupted run:\n%s\nvs\n%s",
-			st.Result.VerdictBytes(), ref.Result.VerdictBytes())
+		s, _ := newTestServer(t, Config{JournalDir: dir, Workers: 1})
+		reloaded, resumed, err := s.Recover()
+		if err != nil || reloaded != 0 || resumed != 1 {
+			t.Fatalf("Recover = (%d, %d, %v), want (0, 1, nil)", reloaded, resumed, err)
+		}
+		st := waitJobInProc(t, s, parsed.Key)
+		if st.State != JobDone {
+			t.Fatalf("resumed job failed: %s", st.Error)
+		}
+		for i, rung := range st.Result.Rungs {
+			refRung := ref.Result.Rungs[i]
+			// Every rung still open after the two journaled iterations
+			// replays both; one that closed earlier replays its own.
+			if want := min(2, refRung.Iterations); rung.ResumedIterations != want {
+				t.Fatalf("targets %v rung %d: resumed %d iterations, want exactly the %d journaled ones", targets, i, rung.ResumedIterations, want)
+			}
+			if rung.Iterations != refRung.Iterations {
+				t.Fatalf("targets %v rung %d: resumed run took %d iterations, reference took %d", targets, i, rung.Iterations, refRung.Iterations)
+			}
+		}
+		if !bytes.Equal(st.Result.VerdictBytes(), ref.Result.VerdictBytes()) {
+			t.Fatalf("resumed verdict differs from uninterrupted run:\n%s\nvs\n%s",
+				st.Result.VerdictBytes(), ref.Result.VerdictBytes())
+		}
 	}
 }
 

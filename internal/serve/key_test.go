@@ -7,6 +7,7 @@ import (
 
 	"gridattack/internal/cases"
 	"gridattack/internal/core"
+	"gridattack/internal/smt"
 )
 
 func parseKey(t *testing.T, req JobRequest) string {
@@ -161,6 +162,10 @@ func TestKeySensitiveToOneULP(t *testing.T) {
 // verdict is keyed; analyzer-default normalization maps equivalent requests
 // onto one key.
 func TestKeyConfigSensitivity(t *testing.T) {
+	// Process-wide certification runs every analysis cold, so it keys the
+	// cold encoding like the default one; these keys are the default
+	// environment's.
+	defer smt.SetCertifyDefault(smt.SetCertifyDefault(false))
 	input := caseInputText(t, "paper5", 7, 3)
 	base := parseKey(t, JobRequest{Input: input})
 

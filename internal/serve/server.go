@@ -26,8 +26,8 @@ type Config struct {
 	// CacheEntries bounds the result cache (0 = DefaultCacheEntries).
 	CacheEntries int
 	// JournalDir, when non-empty, makes the service durable: requests,
-	// single-target checkpoint journals, and definitive results are
-	// persisted there, and Recover resumes in-flight jobs after a restart.
+	// checkpoint journals, and definitive results are persisted there, and
+	// Recover resumes in-flight jobs after a restart.
 	// Empty runs fully in-memory.
 	JournalDir string
 	// DefaultTier applies to tenants absent from Tiers. The zero Tier means
@@ -224,9 +224,9 @@ func (s *Server) Submit(parsed *ParsedJob, tenant string, rawRequest []byte) (*J
 // Recover replays the durable state left in JournalDir by a previous
 // process: persisted definitive results re-enter the cache verbatim, and
 // persisted requests without a result are resubmitted — their checkpoint
-// journals make single-target jobs resume at the first incomplete iteration
-// (bit-identically, finalized journals re-solving nothing), while ladder
-// jobs restart from scratch. Returns (results reloaded, jobs resumed).
+// journals make every job, ladders included, resume at the first incomplete
+// iteration (bit-identically, finalized journals re-solving nothing).
+// Returns (results reloaded, jobs resumed).
 func (s *Server) Recover() (reloaded, resumed int, err error) {
 	if s.cfg.JournalDir == "" {
 		return 0, 0, nil
@@ -348,9 +348,9 @@ func (s *Server) runJob(job *Job) {
 	job.complete(res)
 }
 
-// solve runs the analysis for one job: a checkpointed Run for single-target
-// jobs (each durable journal record streaming out as a progress event), an
-// incremental ladder for multi-target ones.
+// solve runs the analysis for one job: a ladder of the job's targets (one
+// rung for a single-target job), checkpointed under JournalDir, each journal
+// record streaming out as a progress event.
 func (s *Server) solve(job *Job) (*Result, error) {
 	p := job.Parsed
 	a := &core.Analyzer{
@@ -367,46 +367,46 @@ func (s *Server) solve(job *Job) (*Result, error) {
 		MaxPivots:      job.Tier.MaxPivots,
 		QueryTimeout:   job.Tier.QueryTimeout,
 	}
-	if len(p.Targets) == 1 {
-		a.TargetIncreasePercent = p.Targets[0]
-		if s.cfg.JournalDir != "" {
-			a.CheckpointPath = s.journalPath(job.ID)
-			a.JournalObserver = func(rec core.JournalRecord) {
-				switch rec.Kind {
-				case core.RecIter:
-					job.events.append("iter", map[string]any{"iter": rec.Iter, "reached": rec.Reached, "cost": rec.Cost})
-				case core.RecFinal:
-					job.events.append("final", map[string]any{"found": rec.Found, "exhausted": rec.Exhausted})
-				}
+	if s.cfg.JournalDir != "" {
+		a.CheckpointPath = s.journalPath(job.ID)
+	}
+	a.JournalObserver = func(rec core.JournalRecord) {
+		switch rec.Kind {
+		case core.RecIter:
+			job.events.append("iter", map[string]any{"iter": rec.Iter, "cost": rec.Cost, "reached": targetsAt(p.Targets, rec.Reached)})
+		case core.RecFinal:
+			rungs := make([]map[string]any, len(rec.Verdicts))
+			for i, v := range rec.Verdicts {
+				rungs[i] = map[string]any{"target": p.Targets[i], "found": v.Found, "exhausted": v.Exhausted}
 			}
+			job.events.append("final", map[string]any{"rungs": rungs})
 		}
-		rep, err := a.Run()
-		if errors.Is(err, core.ErrJournal) && a.CheckpointPath != "" {
-			// The journal on disk belongs to a different problem or is
-			// damaged beyond the torn-tail rule. The content address makes
-			// this a stale artifact, not a resumable run: discard and solve
-			// cold rather than failing the job.
-			s.cfg.Logf("serve: job %s: discarding unusable journal: %v", job.ID, err)
-			if rmErr := os.Remove(a.CheckpointPath); rmErr != nil {
-				return nil, err
-			}
-			rep, err = a.Run()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return resultFromReports(job.ID, p.Targets, []*core.Report{rep}), nil
 	}
 	reps, err := a.RunLadder(p.Targets)
+	if errors.Is(err, core.ErrJournal) && a.CheckpointPath != "" {
+		// The journal on disk belongs to a different problem or is damaged
+		// beyond the torn-tail rule. The content address makes this a stale
+		// artifact, not a resumable run: discard and solve cold rather than
+		// failing the job.
+		s.cfg.Logf("serve: job %s: discarding unusable journal: %v", job.ID, err)
+		if rmErr := os.Remove(a.CheckpointPath); rmErr != nil {
+			return nil, err
+		}
+		reps, err = a.RunLadder(p.Targets)
+	}
 	if err != nil {
 		return nil, err
 	}
-	for i, rep := range reps {
-		job.events.append("rung", map[string]any{
-			"target": p.Targets[i], "found": rep.Found, "exhausted": rep.Exhausted, "canceled": rep.Canceled,
-		})
-	}
 	return resultFromReports(job.ID, p.Targets, reps), nil
+}
+
+// targetsAt maps rung indices to their target percentages.
+func targetsAt(targets []float64, rungs []int) []float64 {
+	out := make([]float64, len(rungs))
+	for k, i := range rungs {
+		out[k] = targets[i]
+	}
+	return out
 }
 
 // ---- HTTP transport ----

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -143,6 +144,61 @@ func TestSSEEvents(t *testing.T) {
 	}
 	if types[len(types)-1] != "done" {
 		t.Fatalf("stream did not end with done: %v", types)
+	}
+}
+
+// TestSSEEventsInMemoryLadder: without a journal directory a ladder job
+// still streams its per-iteration progress and one final event naming every
+// rung's verdict.
+func TestSSEEventsInMemoryLadder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	targets := []float64{0.5, 1, 2}
+	sub, _ := submit(t, ts.URL, "alice", jobBody(t, JobRequest{Input: caseInputText(t, "synth30", 1, 3), Targets: targets}))
+	st := waitDone(t, ts.URL, sub.JobID)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.JobID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var iters int
+	var final struct {
+		Rungs []struct {
+			Target float64 `json:"target"`
+			Found  bool    `json:"found"`
+		} `json:"rungs"`
+	}
+	typ := ""
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			typ = strings.TrimPrefix(line, "event: ")
+			if typ == "iter" {
+				iters++
+			}
+		case typ == "final" && strings.HasPrefix(line, "data: "):
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &final); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One iteration record per candidate, until the last rung closes.
+	want := 0
+	for _, r := range st.Result.Rungs {
+		want = max(want, r.Iterations)
+	}
+	if iters == 0 || iters != want {
+		t.Fatalf("in-memory ladder job streamed %d iter events, want %d", iters, want)
+	}
+	if len(final.Rungs) != len(targets) {
+		t.Fatalf("final event holds %d rungs, want %d", len(final.Rungs), len(targets))
+	}
+	for i, r := range final.Rungs {
+		if r.Target != targets[i] || r.Found != st.Result.Rungs[i].Found {
+			t.Fatalf("final rung %d = %+v, result rung %+v", i, r, st.Result.Rungs[i])
+		}
 	}
 }
 
