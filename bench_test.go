@@ -375,7 +375,7 @@ func BenchmarkPortfolioCheck(b *testing.B) {
 				if _, err := opf.Encode(s, g, g.TrueTopology(), nil, base.Cost*0.99); err != nil {
 					b.Fatal(err)
 				}
-				res, err := s.CheckPortfolio(context.Background(), n)
+				res, err := s.CheckPortfolioStable(context.Background(), n)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -232,12 +232,10 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 		fmt.Fprintln(w)
 
 	case "sparse":
-		// Four tables behind BENCH_sparse.json: the sparse numeric
+		// Three tables behind BENCH_sparse.json: the sparse numeric
 		// substrate (factorization fill/time vs. the dense inverse it
-		// replaced), the end-to-end economic exclusion screen, the LP
-		// warm-start re-dispatch ladder, and the Fig. 4(a) scenario sweep
-		// with LP warm starts toggled A/B (identical verdicts, different
-		// work).
+		// replaced), the end-to-end economic exclusion screen, and the LP
+		// warm-start re-dispatch ladder.
 		sub, err := experiments.RunSparseSubstrate(names)
 		if err != nil {
 			return err
@@ -283,21 +281,6 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 			fmt.Fprintf(tw, "%s\t%d\t%d\t%v\t%v\t%d/%d\t%d\t%d\t%.1fx\n",
 				r.Case, r.Buses, r.Steps, r.Warm.Round(1e5), r.Cold.Round(1e5),
 				r.WarmHits, r.Steps, r.WarmPivots, r.ColdPivots, speedup)
-		}
-		tw.Flush()
-		fmt.Fprintln(w)
-
-		ab, err := experiments.RunSweepAB(names, maxConflicts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Fig. 4(a) sweep A/B: warm starts on vs. off (LP verification; verdicts identical)")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "case\tbuses\ton\toff\tlp-solves\twarm-hits\tpivots-on\tpivots-off")
-		for _, r := range ab {
-			fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%d\t%d\t%d\t%d\n",
-				r.Case, r.Buses, r.On.Round(1e5), r.Off.Round(1e5),
-				r.LPOn.Solves, r.LPOn.WarmHits, r.LPOn.Pivots, r.LPOff.Pivots)
 		}
 		tw.Flush()
 		fmt.Fprintln(w)

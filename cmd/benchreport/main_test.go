@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,40 @@ func TestReportServe(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
+	}
+}
+
+func TestReportSparse(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-fig", "sparse", "-cases", "paper5"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	s := out.String()
+	if strings.Contains(s, "sweep A/B") {
+		t.Errorf("unexpected sweep A/B table:\n%s", s)
+	}
+	_, ladder, ok := strings.Cut(s, "Warm-start re-dispatch ladder")
+	if !ok {
+		t.Fatalf("no warm-start ladder table:\n%s", s)
+	}
+	rows := 0
+	for _, line := range strings.Split(ladder, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 9 || f[0] != "paper5" {
+			continue
+		}
+		rows++
+		warm, err1 := strconv.Atoi(f[6])
+		cold, err2 := strconv.Atoi(f[7])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable pivot counts in %q", line)
+		}
+		if cold < warm {
+			t.Errorf("cold pivots %d < warm pivots %d in %q", cold, warm, line)
+		}
+	}
+	if rows != 1 {
+		t.Fatalf("want one paper5 ladder row, got %d:\n%s", rows, ladder)
 	}
 }
 

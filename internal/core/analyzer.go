@@ -20,7 +20,6 @@ import (
 	"gridattack/internal/attack"
 	"gridattack/internal/grid"
 	"gridattack/internal/measure"
-	"gridattack/internal/opf"
 	"gridattack/internal/smt"
 )
 
@@ -165,10 +164,6 @@ type Report struct {
 	// Deprecated: always 0. The analysis verifies every candidate; the
 	// LODF witness screen lives on only in ScreenExclusions.
 	PrescreenPruned int
-
-	// LPStats summarizes the warm-started LP work under VerifyLP: total
-	// solves, how many re-used a cached optimal basis, and simplex pivots.
-	LPStats opf.WarmStats
 
 	// SolverStats aggregates SMT effort counters across the analysis: the
 	// attack model's solver lineage (clones inherit their parent's counters,

@@ -128,7 +128,7 @@ func (a *Analyzer) RunLadder(targets []float64) ([]*Report, error) {
 
 	switch e.mode {
 	case VerifyLP:
-		e.ws = opf.NewWarmSolver(a.Grid)
+		// Each candidate is verified with one cold opf.Solve (check).
 	case VerifySMT:
 		// The ladder-wide expression builder: every per-candidate
 		// incremental verification model interns its constraints through
@@ -172,10 +172,9 @@ type engine struct {
 	rungs   []*Report
 
 	model *attack.Model
-	ws    *opf.WarmSolver // VerifyLP
-	vb    *expr.Builder   // VerifySMT
-	fac   *dist.Factors   // VerifyShift
-	stats smt.Stats       // verification models' effort, plus the final model's
+	vb    *expr.Builder // VerifySMT
+	fac   *dist.Factors // VerifyShift
+	stats smt.Stats     // verification models' effort, plus the final model's
 
 	cp     *checkpoint
 	replay []JournalRecord // journaled iterations, replayed before any new one
@@ -378,15 +377,6 @@ func (e *engine) verify(ctx context.Context, v *attack.Vector, open []int, rec *
 		}
 	}
 	if len(live) == 0 {
-		if e.ws != nil {
-			// The warm-start cache must evolve as in the uninterrupted run,
-			// or a later solve starts from another basis and its cost can
-			// differ in the last bits: redo the cheap LP solve, keep the
-			// journaled outcome.
-			if _, err := e.ws.SolveTopology(v.MappedTopology, v.ObservedLoads); err != nil && !errors.Is(err, opf.ErrInfeasible) {
-				return err
-			}
-		}
 		return nil
 	}
 	out := JournalRecord{Kind: RecIter, Iter: e.iter, Vector: v}
@@ -425,7 +415,7 @@ func (e *engine) check(ctx context.Context, v *attack.Vector, live []int, out *J
 		var sol *opf.Solution
 		var err error
 		if e.mode == VerifyLP {
-			sol, err = e.ws.SolveTopology(v.MappedTopology, v.ObservedLoads)
+			sol, err = opf.Solve(e.a.Grid, v.MappedTopology, v.ObservedLoads)
 		} else {
 			sol, err = e.shiftSolve(v)
 		}
@@ -537,9 +527,6 @@ func (a *Analyzer) incremental() bool {
 func (e *engine) finish(start time.Time) []*Report {
 	elapsed := time.Since(start)
 	for _, r := range e.rungs {
-		if e.ws != nil {
-			r.LPStats = e.ws.Stats()
-		}
 		r.SolverStats = e.stats
 		r.Elapsed = elapsed
 	}

@@ -5,79 +5,47 @@ import (
 
 	"gridattack/internal/attack"
 	"gridattack/internal/cases"
-	"gridattack/internal/lp"
 	"gridattack/internal/opf"
 )
 
-// abAnalyzer builds the Case Study 1 analyzer used by the A/B tests.
-func abAnalyzer(target float64, verify VerifyMode) *Analyzer {
-	return &Analyzer{
-		Grid: cases.Paper5Bus(),
-		Plan: cases.Paper5PlanCase1(),
-		Capability: attack.Capability{
-			MaxMeasurements:       8,
-			MaxBuses:              3,
-			RequireTopologyChange: true,
-		},
-		TargetIncreasePercent: target,
-		OperatingDispatch:     cases.Paper5OperatingDispatch(),
-		Verify:                verify,
-		Parallelism:           1,
-	}
-}
-
-// reportKernel is the part of a Report that must be invariant under the
-// warm-start optimization.
-type reportKernel struct {
-	baseline, threshold float64
-	found, exhausted    bool
-	iterations          int
-	attackedCost        float64
-	excluded            string
-}
-
-func kernel(rep *Report) reportKernel {
-	k := reportKernel{
-		baseline:     rep.BaselineCost,
-		threshold:    rep.Threshold,
-		found:        rep.Found,
-		exhausted:    rep.Exhausted,
-		iterations:   rep.Iterations,
-		attackedCost: rep.AttackedCost,
-	}
-	if rep.Vector != nil {
-		k.excluded = rep.Vector.String()
-	}
-	return k
-}
-
-// TestPrescreenWarmStartABIdentity: across the Fig. 2 cost-cap ladder,
-// every report field that constitutes a verdict must be bit-identical with
-// LP warm starts enabled and disabled, for both LP-backed verify modes. (The
-// prescreen half of this A/B went with the in-loop prescreen; the name is
-// kept so the test's history stays traceable.)
-func TestPrescreenWarmStartABIdentity(t *testing.T) {
-	for _, mode := range []VerifyMode{VerifyLP, VerifyShift} {
-		for _, target := range []float64{1, 3, 6, 12} {
-			repOpt, err := abAnalyzer(target, mode).Run()
-			if err != nil {
-				t.Fatalf("%v target=%v warm: %v", mode, target, err)
-			}
-
-			lp.NoWarmStart = true
-			repRef, err := abAnalyzer(target, mode).Run()
-			lp.NoWarmStart = false
-			if err != nil {
-				t.Fatalf("%v target=%v cold: %v", mode, target, err)
-			}
-
-			if kernel(repOpt) != kernel(repRef) {
-				t.Fatalf("%v target=%v verdict mismatch:\nwarm: %+v\ncold: %+v",
-					mode, target, kernel(repOpt), kernel(repRef))
-			}
-			t.Logf("%v target=%v%%: found=%v iters=%d lp=%+v",
-				mode, target, repOpt.Found, repOpt.Iterations, repOpt.LPStats)
+// TestLPVerifyMatchesColdOPF: across the Fig. 2 cost-cap ladder on Case
+// Study 1, every Found report's attacked cost under VerifyLP must be the cold
+// opf.Solve of its vector's poisoned topology and load estimates, bit for
+// bit.
+func TestLPVerifyMatchesColdOPF(t *testing.T) {
+	found := 0
+	for _, target := range []float64{1, 3, 6, 12} {
+		a := &Analyzer{
+			Grid: cases.Paper5Bus(),
+			Plan: cases.Paper5PlanCase1(),
+			Capability: attack.Capability{
+				MaxMeasurements:       8,
+				MaxBuses:              3,
+				RequireTopologyChange: true,
+			},
+			TargetIncreasePercent: target,
+			OperatingDispatch:     cases.Paper5OperatingDispatch(),
+			Verify:                VerifyLP,
+			Parallelism:           1,
 		}
+		rep, err := a.Run()
+		if err != nil {
+			t.Fatalf("target=%v: %v", target, err)
+		}
+		if !rep.Found {
+			continue
+		}
+		found++
+		sol, err := opf.Solve(a.Grid, rep.Vector.MappedTopology, rep.Vector.ObservedLoads)
+		if err != nil {
+			t.Fatalf("target=%v: cold OPF: %v", target, err)
+		}
+		if rep.AttackedCost != sol.Cost {
+			t.Fatalf("target=%v: attacked cost %v, cold OPF %v", target, rep.AttackedCost, sol.Cost)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no target was reached; the comparison is vacuous")
 	}
 }
 

@@ -57,9 +57,6 @@ type TimeRow struct {
 	// SMT-backed verification); the 'arith' benchreport artifact prints the
 	// arithmetic-kernel split from here.
 	Stats smt.Stats
-	// LP summarizes the warm-started verification LP work (the 'sparse'
-	// artifact prints it).
-	LP opf.WarmStats
 }
 
 // SweepConfig parameterizes a Fig. 4 style sweep.
@@ -130,7 +127,6 @@ func RunImpactSweep(cfg SweepConfig) ([]TimeRow, error) {
 				Search:   rep.AttackSearchTime,
 				Verify:   rep.VerifyTime,
 				Stats:    rep.SolverStats,
-				LP:       rep.LPStats,
 			})
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"gridattack/internal/dist"
 	"gridattack/internal/linalg"
 	"gridattack/internal/linalg/sparse"
-	"gridattack/internal/lp"
 	"gridattack/internal/opf"
 )
 
@@ -184,69 +183,16 @@ func RunWarmLadder(names []string) ([]WarmLadderRow, error) {
 		row.WarmPivots = stats.Pivots
 		row.WarmHits = stats.WarmHits
 
-		cold := opf.NewWarmSolver(g)
-		lp.NoWarmStart = true
+		// A fresh solver per step has no cached basis: every solve is cold.
 		start = time.Now()
 		for _, loads := range scaled {
+			cold := opf.NewWarmSolver(g)
 			if _, err := cold.SolveTopology(topo, loads); err != nil {
-				lp.NoWarmStart = false
 				return nil, fmt.Errorf("experiments: %s: cold ladder: %w", name, err)
 			}
+			row.ColdPivots += cold.Stats().Pivots
 		}
 		row.Cold = time.Since(start)
-		lp.NoWarmStart = false
-		row.ColdPivots = cold.Stats().Pivots
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// SweepABRow compares one case's Fig. 4(a) scenario sweep with LP warm
-// starts enabled (the default) against disabled. Verdicts are bit-identical
-// by the warm-start contract; only the work differs.
-type SweepABRow struct {
-	Case      string
-	Buses     int
-	On, Off   time.Duration // summed over scenarios
-	LPOn      opf.WarmStats
-	LPOff     opf.WarmStats
-	Scenarios int
-}
-
-// RunSweepAB measures SweepABRows for the named cases (nil means the
-// paper's five systems) under the LP verification backend.
-func RunSweepAB(names []string, maxConflicts int64) ([]SweepABRow, error) {
-	if len(names) == 0 {
-		names = cases.EvaluationOrder()
-	}
-	var rows []SweepABRow
-	for _, name := range names {
-		on, err := RunImpactSweep(SweepConfig{Cases: []string{name}, MaxConflicts: maxConflicts})
-		if err != nil {
-			return nil, err
-		}
-		lp.NoWarmStart = true
-		off, err := RunImpactSweep(SweepConfig{Cases: []string{name}, MaxConflicts: maxConflicts})
-		lp.NoWarmStart = false
-		if err != nil {
-			return nil, err
-		}
-		row := SweepABRow{Case: name, Scenarios: len(on)}
-		for _, r := range on {
-			row.Buses = r.Buses
-			row.On += r.Elapsed
-			row.LPOn.Solves += r.LP.Solves
-			row.LPOn.WarmHits += r.LP.WarmHits
-			row.LPOn.Fallbacks += r.LP.Fallbacks
-			row.LPOn.Pivots += r.LP.Pivots
-		}
-		for _, r := range off {
-			row.Off += r.Elapsed
-			row.LPOff.Solves += r.LP.Solves
-			row.LPOff.WarmHits += r.LP.WarmHits
-			row.LPOff.Fallbacks += r.LP.Fallbacks
-			row.LPOff.Pivots += r.LP.Pivots
-		}
 		rows = append(rows, row)
 	}
 	return rows, nil

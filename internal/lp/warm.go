@@ -2,13 +2,6 @@ package lp
 
 import "math"
 
-// NoWarmStart disables warm-started re-solves process-wide: SolveWarm falls
-// back to a cold two-phase solve on every call. It exists so experiments can
-// A/B the warm-start path against the textbook solver; verdicts must be
-// bit-identical either way because a warm re-solve only skips simplex work
-// that provably cannot change the optimal basis.
-var NoWarmStart bool
-
 // Warm captures the final simplex state of an Optimal solve so a subsequent
 // problem with the SAME structure (variables, bounds, costs, constraint
 // matrix, senses) but different right-hand sides can be re-solved from the
@@ -66,9 +59,9 @@ func (w *Warm) compatible(p *Problem) bool {
 // must not be shared across goroutines, and after SolveWarm returns an error
 // the context passed in must be discarded.
 //
-// Pass w == nil (or set NoWarmStart) to force a cold solve.
+// Pass w == nil to force a cold solve.
 func (p *Problem) SolveWarm(w *Warm) (*Solution, *Warm, error) {
-	if w != nil && !NoWarmStart && w.compatible(p) {
+	if w != nil && w.compatible(p) {
 		if sol, ok := p.warmResolve(w); ok {
 			return sol, w, nil
 		}

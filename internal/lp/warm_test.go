@@ -116,22 +116,3 @@ func TestWarmIncompatible(t *testing.T) {
 		t.Fatalf("objective %v (status %v), want 2", sol.Objective, sol.Status)
 	}
 }
-
-// TestNoWarmStartKnob: the A/B knob must force cold solves.
-func TestNoWarmStartKnob(t *testing.T) {
-	NoWarmStart = true
-	defer func() { NoWarmStart = false }()
-	p := warmTestProblem(4, 10)
-	_, w, err := p.SolveWarm(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := warmTestProblem(5, 10)
-	sol2, _, err := p2.SolveWarm(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol2.Warmed {
-		t.Fatal("NoWarmStart must force a cold solve")
-	}
-}

@@ -17,11 +17,12 @@ type WarmStats struct {
 }
 
 // WarmSolver answers repeated angle-formulation OPF queries, caching the
-// final simplex basis per topology so the Fig. 2 cost-cap ladder and the
-// impact-analysis candidate loop re-solve from the previous optimum instead
-// of running two-phase simplex from scratch. Only the nodal-balance
-// right-hand sides vary between calls for a fixed topology, which is exactly
-// the rhs-only re-solve lp.SolveWarm supports.
+// final simplex basis per topology so a re-dispatch on an unchanged topology
+// re-solves from the previous optimum instead of running two-phase simplex
+// from scratch. Only the nodal-balance right-hand sides vary between calls
+// for a fixed topology, which is exactly the rhs-only re-solve lp.SolveWarm
+// supports. It is library code: the Fig. 2 loop verifies each candidate with
+// a cold Solve, because its candidates rarely repeat a topology.
 //
 // A WarmSolver is safe for concurrent use; concurrent solves for the same
 // topology simply miss the cache rather than share a tableau.

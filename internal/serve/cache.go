@@ -38,14 +38,24 @@ func NewCache(max int) *Cache {
 
 // Get returns the cached result for key, counting a hit or miss.
 func (c *Cache) Get(key string) (*Result, bool) {
+	return c.lookup(key, true)
+}
+
+// lookup is Get; count false skips the hit/miss count, for re-checking a
+// key whose lookup was already counted when its job was submitted.
+func (c *Cache) lookup(key string, count bool) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		if count {
+			c.misses++
+		}
 		return nil, false
 	}
-	c.hits++
+	if count {
+		c.hits++
+	}
 	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }

@@ -322,7 +322,8 @@ func (s *Server) runJob(job *Job) {
 	// A duplicate submitted while this key was queued may have finished and
 	// populated the cache meanwhile; also, restart recovery funnels completed
 	// keys here when their result file was lost but the journal survived.
-	if res, ok := s.cache.Get(job.ID); ok {
+	// Submit already counted this key's miss.
+	if res, ok := s.cache.lookup(job.ID, false); ok {
 		job.completeFromCache(res)
 		return
 	}

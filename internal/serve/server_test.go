@@ -258,6 +258,25 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 }
 
+// TestCacheMissesCountSubmissions: a cold submission is one cache miss. The
+// worker's re-check of the key before solving must not count a second one.
+func TestCacheMissesCountSubmissions(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const n = 3
+	for seed := int64(1); seed <= n; seed++ {
+		sub, code := submit(t, ts.URL, "", jobBody(t, JobRequest{Input: caseInputText(t, "paper5", seed, 3)}))
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: status %d, want a cold submission", seed, code)
+		}
+		if st := waitDone(t, ts.URL, sub.JobID); st.State != JobDone {
+			t.Fatalf("seed %d: state %s (%s)", seed, st.State, st.Error)
+		}
+	}
+	if cs := s.Stats().Cache; cs.Misses != n || cs.Hits != 0 {
+		t.Fatalf("cache stats %+v after %d cold submissions, want %d misses and no hits", cs, n, n)
+	}
+}
+
 // TestRateLimit429 drives the token bucket with a logical clock.
 func TestRateLimit429(t *testing.T) {
 	clock := time.Unix(1000, 0)

@@ -324,9 +324,9 @@ func TestPortfolioReplicaPanicIsolated(t *testing.T) {
 	s := NewSolver()
 	x := s.NewReal("x")
 	s.Assert(atomCmp(x, OpGE, 3))
-	res, err := s.CheckPortfolio(context.Background(), 4)
+	res, err := s.CheckPortfolioStable(context.Background(), 4)
 	if err != nil || res != Sat {
-		t.Fatalf("CheckPortfolio with panicking helpers = %v, %v; want Sat", res, err)
+		t.Fatalf("CheckPortfolioStable with panicking helpers = %v, %v; want Sat", res, err)
 	}
 	if got := s.RealValue(x); got.Cmp(big.NewRat(3, 1)) < 0 {
 		t.Fatalf("model x = %v, want >= 3", got)
@@ -342,9 +342,9 @@ func TestPortfolioAllReplicasPanic(t *testing.T) {
 	s := NewSolver()
 	x := s.NewReal("x")
 	s.Assert(atomCmp(x, OpGE, 3))
-	_, err := s.CheckPortfolio(context.Background(), 3)
+	_, err := s.CheckPortfolioStable(context.Background(), 3)
 	if err == nil {
-		t.Fatal("CheckPortfolio succeeded although every replica panicked")
+		t.Fatal("CheckPortfolioStable succeeded although every replica panicked")
 	}
 	if !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("error does not identify the panic: %v", err)

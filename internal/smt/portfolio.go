@@ -13,11 +13,6 @@ import (
 // exercise the crash-isolation path.
 var testReplicaFault func(i int)
 
-// maxSharedClauseLen bounds the learned clauses migrated from losing
-// portfolio replicas back into the surviving solver: only short clauses
-// (the most reusable ones) are worth the transfer.
-const maxSharedClauseLen = 3
-
 // CheckContext is Check with context cancellation: when ctx is canceled, the
 // search stops at its next poll point and returns ErrCanceled. A ctx without
 // a Done channel degrades to a plain Check with no watcher goroutine.
@@ -47,23 +42,9 @@ func (s *Solver) CheckContext(ctx context.Context) (Result, error) {
 	return res, err
 }
 
-// CheckPortfolio races n diversified replicas of the solver on the current
-// assertions: the first verdict wins and cancels the losers. On Sat, the
-// winner's entire state — including its model — is adopted into s, so
-// BoolValue/RealValue read the winning model afterwards; on Unsat, short
-// clauses learned by the losing replicas are merged back into s for future
-// incremental Check calls.
-//
-// The verdict is deterministic (every replica decides the same formula with
-// exact arithmetic), but the Sat model depends on which replica wins the
-// race. Use CheckPortfolioStable when downstream behaviour must be
-// bit-for-bit independent of n.
-func (s *Solver) CheckPortfolio(ctx context.Context, n int) (Result, error) {
-	return s.portfolio(ctx, n, false)
-}
-
-// CheckPortfolioStable races n replicas but only accepts early verdicts that
-// cannot perturb determinism: helper replicas may prove Unsat (an objective
+// CheckPortfolioStable races n diversified replicas of the solver on the
+// current assertions but only accepts early verdicts that cannot perturb
+// determinism: helper replicas may prove Unsat (an objective
 // fact that carries no model), while Sat verdicts — which carry a model —
 // are only ever taken from the undiversified primary replica, whose search
 // is identical to a sequential Check. The result (verdict and, on Sat, the
@@ -72,23 +53,11 @@ func (s *Solver) CheckPortfolio(ctx context.Context, n int) (Result, error) {
 // prove Unsat before the primary exhausts its conflict/time budget, turning
 // a sequential ErrCanceled into a sound Unsat.
 func (s *Solver) CheckPortfolioStable(ctx context.Context, n int) (Result, error) {
-	return s.portfolio(ctx, n, true)
-}
-
-// portfolioOutcome is one replica's race result, received in completion
-// order.
-type portfolioOutcome struct {
-	idx int
-	res Result
-	err error
-}
-
-func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, error) {
 	if n <= 1 {
 		res, err := s.CheckContext(ctx)
-		// The portfolio entry points promise certified verdicts: at width 1
-		// there is no winner-selection step to do it, so check here (unless
-		// selfCheck already did inside Check).
+		// The portfolio promises certified verdicts: at width 1 there is no
+		// winner-selection step to do it, so check here (unless selfCheck
+		// already did inside Check).
 		if err == nil && s.Certify && !s.selfCheck {
 			cert := s.Certificate()
 			if cert == nil {
@@ -101,7 +70,6 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 		return res, err
 	}
 	replicas := make([]*Solver, n)
-	learnedStart := make([]int, n)
 	replicas[0] = s
 	for i := 1; i < n; i++ {
 		r := s.Clone()
@@ -109,12 +77,17 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 		replicas[i] = r
 	}
 	var stop atomic.Bool
-	for i, r := range replicas {
+	for _, r := range replicas {
 		r.SetInterrupt(&stop)
-		learnedStart[i] = len(r.core.clauses)
 	}
 
-	outcomes := make(chan portfolioOutcome, n)
+	// outcomes receives each replica's race result in completion order.
+	type outcome struct {
+		idx int
+		res Result
+		err error
+	}
+	outcomes := make(chan outcome, n)
 	var wg sync.WaitGroup
 	for i, r := range replicas {
 		wg.Add(1)
@@ -134,13 +107,13 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 				}
 				return r.Check()
 			}()
-			if err == nil && (!stable || i == 0 || res == Unsat) {
-				// A usable verdict: stop the other replicas. In stable mode
-				// a helper's Sat is not usable (its model would make the
-				// outcome depend on n), so the primary keeps running.
+			if err == nil && (i == 0 || res == Unsat) {
+				// A usable verdict: stop the other replicas. A helper's Sat
+				// is not usable (its model would make the outcome depend on
+				// n), so the primary keeps running.
 				stop.Store(true)
 			}
-			outcomes <- portfolioOutcome{idx: i, res: res, err: err}
+			outcomes <- outcome{idx: i, res: res, err: err}
 		}(i, r)
 	}
 	watcherDone := make(chan struct{})
@@ -181,7 +154,7 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 			}
 			continue
 		}
-		if stable && o.idx != 0 && o.res == Sat {
+		if o.idx != 0 && o.res == Sat {
 			continue
 		}
 		if r := replicas[o.idx]; r.Certify && !r.selfCheck {
@@ -212,46 +185,10 @@ func (s *Solver) portfolio(ctx context.Context, n int, stable bool) (Result, err
 		return 0, ErrCanceled
 	}
 	if winner != 0 {
-		if stable {
-			// The primary's state is untouched (determinism), but the verdict
-			// being returned is the helper's: hand its certificate over so
-			// Certificate() backs what the caller just saw.
-			s.lastCert = replicas[winner].lastCert
-		} else {
-			// Adopt the winning replica wholesale: its model (on Sat) and its
-			// learned clauses replace the primary's state.
-			*s = *replicas[winner]
-			s.SetInterrupt(nil)
-		}
-	}
-	if verdict == Unsat {
-		// Migrate short learned clauses from the losers into the surviving
-		// solver; they are implied by the shared assertions, so they stay
-		// sound for future incremental Check calls. (Skipped on Sat, where
-		// rewinding to decision level 0 would discard the model; skipped in
-		// stable mode, where extra clauses would perturb the primary's
-		// deterministic search on later queries; skipped under certification,
-		// where absorbed clauses would enter the clause database as premises
-		// the proof checker has no derivation for.)
-		if !stable && !s.Certify {
-			for i, r := range replicas {
-				if i == winner || r == s {
-					continue
-				}
-				s.absorbLearned(r, learnedStart[i])
-			}
-		}
+		// The primary's state is untouched (determinism), but the verdict
+		// being returned is the helper's: hand its certificate over so
+		// Certificate() backs what the caller just saw.
+		s.lastCert = replicas[winner].lastCert
 	}
 	return verdict, nil
-}
-
-// absorbLearned copies the short clauses `from` learned since index `since`
-// into s at decision level 0.
-func (s *Solver) absorbLearned(from *Solver, since int) {
-	s.backtrackAll()
-	for _, cl := range from.core.clauses[since:] {
-		if cl.learned && len(cl.lits) <= maxSharedClauseLen {
-			s.addClause(append([]literal(nil), cl.lits...))
-		}
-	}
 }

@@ -109,7 +109,7 @@ func TestPortfolioVerdictAgreement(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		sat := NewSolver()
 		mixedInstance(sat)
-		res, err := sat.CheckPortfolio(context.Background(), n)
+		res, err := sat.CheckPortfolioStable(context.Background(), n)
 		if err != nil {
 			t.Fatalf("n=%d sat instance: %v", n, err)
 		}
@@ -117,12 +117,12 @@ func TestPortfolioVerdictAgreement(t *testing.T) {
 			t.Fatalf("n=%d sat instance: res = %v", n, res)
 		}
 		if !sat.HasModel() {
-			t.Fatalf("n=%d: winner's model not adopted", n)
+			t.Fatalf("n=%d: no model after a Sat verdict", n)
 		}
 
 		unsat := NewSolver()
 		pigeonhole(unsat, 5)
-		res, err = unsat.CheckPortfolio(context.Background(), n)
+		res, err = unsat.CheckPortfolioStable(context.Background(), n)
 		if err != nil {
 			t.Fatalf("n=%d unsat instance: %v", n, err)
 		}
@@ -160,14 +160,14 @@ func TestPortfolioStableModelEquality(t *testing.T) {
 	}
 }
 
-// TestPortfolioIncrementalAfterUnsat checks that clause sharing after an
-// unsat race keeps the solver usable for further incremental queries.
+// TestPortfolioIncrementalAfterUnsat checks that an unsat race keeps the
+// solver usable for further incremental queries.
 func TestPortfolioIncrementalAfterUnsat(t *testing.T) {
 	s := NewSolver()
 	x := s.NewReal("x")
 	s.Assert(AtomFloat(NewLinExpr().AddInt(1, x), OpGE, 0))
 	s.Assert(AtomFloat(NewLinExpr().AddInt(1, x), OpLE, -1))
-	res, err := s.CheckPortfolio(context.Background(), 4)
+	res, err := s.CheckPortfolioStable(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPortfolioIncrementalAfterUnsat(t *testing.T) {
 		t.Fatalf("res = %v, want unsat", res)
 	}
 	// Unsat is permanent for a conjunctive store: re-check stays unsat.
-	res, err = s.CheckPortfolio(context.Background(), 2)
+	res, err = s.CheckPortfolioStable(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCheckContextPreCanceled(t *testing.T) {
 	if _, err := s.CheckContext(ctx); err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if _, err := s.CheckPortfolio(ctx, 4); err != ErrCanceled {
+	if _, err := s.CheckPortfolioStable(ctx, 4); err != ErrCanceled {
 		t.Fatalf("portfolio err = %v, want ErrCanceled", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestPortfolioCancellationMidSearch(t *testing.T) {
 		pigeonhole(s, 12) // far beyond what solves in 30ms
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		start := time.Now()
-		_, err := s.CheckPortfolio(ctx, n)
+		_, err := s.CheckPortfolioStable(ctx, n)
 		cancel()
 		if err != ErrCanceled {
 			t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
@@ -238,7 +238,7 @@ func TestPortfolioDeadlineHonored(t *testing.T) {
 	pigeonhole(s, 12)
 	s.MaxDuration = 30 * time.Millisecond
 	start := time.Now()
-	_, err := s.CheckPortfolio(context.Background(), 4)
+	_, err := s.CheckPortfolioStable(context.Background(), 4)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want a budget error matching ErrCanceled and ErrBudgetExceeded", err)
 	}
