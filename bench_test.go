@@ -438,6 +438,31 @@ func BenchmarkPowerFlow118(b *testing.B) {
 	}
 }
 
+// BenchmarkOPFSolve118 measures one cold exact OPF — the float simplex
+// solve the VerifyLP loop runs per candidate — on the largest system's true
+// topology. pivots/op is read from a first (cold) WarmSolver solve of the
+// same LP, which takes the same pivots.
+func BenchmarkOPFSolve118(b *testing.B) {
+	c, err := gridattack.CaseByName("synth118")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := c.Grid
+	top := g.TrueTopology()
+	ws := opf.NewWarmSolver(g)
+	if _, err := ws.SolveTopology(top, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := opf.Solve(g, top, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ws.Stats().Pivots), "pivots/op")
+}
+
 // BenchmarkPTDF118 measures distribution-factor computation on the largest
 // system.
 func BenchmarkPTDF118(b *testing.B) {

@@ -26,9 +26,8 @@ type Model struct {
 	solver *smt.Solver
 
 	// b is the hash-consed expression builder all constraints are built
-	// through. It is shared by clones (Clone copies the pointer): the builder
-	// is only touched from the goroutine driving the analysis loop (NewModel,
-	// Block), never from the solver's search goroutines.
+	// through. Only the goroutine that currently drives the model touches it
+	// (NewModel, Block), never the solver's search goroutines.
 	b *expr.Builder
 
 	// Boolean variable handles (indexed 1-based by line/measurement/bus).
@@ -358,18 +357,6 @@ func (m *Model) FindVectorPortfolio(ctx context.Context, n int) (*Vector, error)
 		return nil, nil
 	}
 	return m.extract(), nil
-}
-
-// Clone returns an independent copy of the model: the solver — including all
-// asserted constraints, blocked vectors, and search state — is deep-copied,
-// so Block and FindVector calls on the clone leave the original untouched.
-// The grid, plan, and variable-handle slices are shared (read-only after
-// construction). Clone is what lets the analyzer speculate on the next
-// candidate while the current one is still being verified.
-func (m *Model) Clone() *Model {
-	cp := *m
-	cp.solver = m.solver.Clone()
-	return &cp
 }
 
 func (m *Model) extract() *Vector {

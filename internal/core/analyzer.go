@@ -166,9 +166,9 @@ type Report struct {
 	PrescreenPruned int
 
 	// SolverStats aggregates SMT effort counters across the analysis: the
-	// attack model's solver lineage (clones inherit their parent's counters,
-	// so the surviving lineage reports cumulatively) plus every SMT-backed
-	// OPF verification model. LP and shift-factor verification contribute
+	// attack model's solver (its counters are cumulative; a speculative
+	// search the loop discards is left out) plus every SMT-backed OPF
+	// verification model. LP and shift-factor verification contribute
 	// nothing. The arithmetic-kernel counters (Rat64FastOps vs Rat64BigOps)
 	// show how often the hybrid rationals stayed on the int64 fast path.
 	SolverStats smt.Stats

@@ -51,12 +51,14 @@ import (
 // full shared candidate-search time it consumed, and SolverStats totals
 // ladder-wide effort, so summing across reports double-counts).
 //
-// With Parallelism > 1, a clone of the attack model speculatively searches
-// for the next candidate while the current one is verified, assuming it
-// leaves some rung open (the common case — the clone blocks the candidate
-// exactly as the loop would). When it does, the clone and its result are
-// adopted wholesale, so the candidate sequence is bit-for-bit the
-// sequential one; otherwise the speculation is interrupted and discarded.
+// With Parallelism > 1, the attack model speculatively blocks the current
+// candidate and searches for the next one while the current one is
+// verified, assuming it leaves some rung open (the common case — the loop
+// would block it exactly so). Verification never reads the model, so the
+// speculation runs on the model itself: when a rung stays open its result is
+// adopted, so the candidate sequence is bit-for-bit the sequential one;
+// otherwise the loop is about to return, and the speculation is interrupted
+// and its work left out of SolverStats.
 //
 // CheckpointPath and JournalObserver apply to the whole ladder: one journal
 // records every iteration's per-rung outcomes (see JournalRecord).
@@ -254,11 +256,15 @@ func (e *engine) loop() error {
 	ctx := context.Background()
 	var spec *speculation
 	defer func() {
-		spec.stop()
-		// The surviving attack-model lineage carries cumulative counters
-		// (Clone copies them), so reading the final model once covers the
-		// whole chain of speculative clones that became the model.
-		e.stats.Add(e.model.Solver().Stats())
+		// The model's counters are cumulative; a discarded speculation's
+		// work is not the sequential loop's, so count the model as it stood
+		// before the speculation began.
+		if spec != nil {
+			spec.stop()
+			e.stats.Add(spec.before)
+		} else {
+			e.stats.Add(e.model.Solver().Stats())
+		}
 	}()
 	for {
 		open := e.open()
@@ -271,7 +277,7 @@ func (e *engine) loop() error {
 		if spec != nil {
 			<-spec.done
 			spec.cancel()
-			e.model, v, err, took = spec.model, spec.v, spec.err, spec.took
+			v, err, took = spec.v, spec.err, spec.took
 			spec = nil
 		} else {
 			// Nothing to overlap with: give the search the full portfolio.
@@ -323,28 +329,29 @@ func (e *engine) loop() error {
 	}
 }
 
-// speculation is the search for the next candidate on a clone of the model
-// that already blocks the current one.
+// speculation is the search for the next candidate on the model, after
+// blocking the current one.
 type speculation struct {
 	done   chan struct{}
 	cancel context.CancelFunc
-	model  *attack.Model
+	before smt.Stats // the model's counters before the speculation began
 	v      *attack.Vector
 	err    error
 	took   time.Duration
 }
 
+// speculate blocks v and searches for the next candidate in the background.
+// The model belongs to the speculation until the loop joins it.
 func (e *engine) speculate(ctx context.Context, v *attack.Vector) *speculation {
 	sctx, cancel := context.WithCancel(ctx)
-	s := &speculation{done: make(chan struct{}), cancel: cancel}
-	model := e.model // not touched by the loop until the speculation is joined
+	s := &speculation{done: make(chan struct{}), cancel: cancel, before: e.model.Solver().Stats()}
+	model := e.model
 	go func() {
 		defer close(s.done)
 		t0 := time.Now()
-		s.model = model.Clone()
-		s.model.Block(v, e.a.BlockPrecision)
+		model.Block(v, e.a.BlockPrecision)
 		// Sequential search: the verification holds the other workers.
-		s.v, s.err = s.model.FindVectorPortfolio(sctx, 1)
+		s.v, s.err = model.FindVectorPortfolio(sctx, 1)
 		s.took = time.Since(t0)
 	}()
 	return s
@@ -352,10 +359,8 @@ func (e *engine) speculate(ctx context.Context, v *attack.Vector) *speculation {
 
 // stop interrupts a speculation no rung needs and waits for it.
 func (s *speculation) stop() {
-	if s != nil {
-		s.cancel()
-		<-s.done
-	}
+	s.cancel()
+	<-s.done
 }
 
 // verify decides candidate v against the open rungs: outcomes the journal

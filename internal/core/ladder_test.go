@@ -14,32 +14,69 @@ import (
 var ladderTargets = []float64{1, 3, 6, 50}
 
 // TestRunLadderMatchesIndependentRuns: each rung's report from the
-// incremental ladder must carry the verdict an independent Run at that
-// target computes.
+// incremental ladder must carry the verdict an independent sequential Run at
+// that target computes, at every Parallelism. On ladderTargets the first
+// candidate reaches the low rungs and leaves the high ones open, so a
+// speculation is adopted after a partial reach; on its reachable prefix the
+// first candidate closes every rung, so the speculation is discarded and
+// SolverStats must count the model as it stood before the speculative Block:
+// the sequential run's search effort, but fewer clauses, because the
+// sequential loop blocks the last candidate on its way out. The comparison
+// is made under VerifyLP, where SolverStats holds the attack model alone.
 func TestRunLadderMatchesIndependentRuns(t *testing.T) {
 	for _, mode := range []VerifyMode{VerifyLP, VerifySMT} {
-		a := cs1Analyzer(ladderTargets[0])
-		a.Verify = mode
-		a.Parallelism = 1
-		reps, err := a.RunLadder(ladderTargets)
-		if err != nil {
-			t.Fatalf("%v: RunLadder: %v", mode, err)
-		}
-		if len(reps) != len(ladderTargets) {
-			t.Fatalf("%v: got %d reports, want %d", mode, len(reps), len(ladderTargets))
-		}
-		var foundAny bool
+		want := make([]*Report, len(ladderTargets))
 		for i, target := range ladderTargets {
 			ref := cs1Analyzer(target)
 			ref.Verify = mode
-			want := runAt(t, ref, 1)
-			requireSameVerdict(t, want, reps[i], 1)
-			foundAny = foundAny || reps[i].Found
+			want[i] = runAt(t, ref, 1)
 		}
-		if !foundAny {
-			t.Fatalf("%v: no rung found an attack; the A/B is vacuous", mode)
+		for _, targets := range [][]float64{ladderTargets, ladderTargets[:2]} {
+			var seqStats smt.Stats
+			for _, par := range []int{1, 2, 4} {
+				a := cs1Analyzer(targets[0])
+				a.Verify = mode
+				a.Parallelism = par
+				reps, err := a.RunLadder(targets)
+				if err != nil {
+					t.Fatalf("%v: RunLadder(%v) at parallelism %d: %v", mode, targets, par, err)
+				}
+				if len(reps) != len(targets) {
+					t.Fatalf("%v: got %d reports, want %d", mode, len(reps), len(targets))
+				}
+				var foundAny bool
+				for i := range targets {
+					requireSameVerdict(t, want[i], reps[i], par)
+					foundAny = foundAny || reps[i].Found
+				}
+				if !foundAny {
+					t.Fatalf("%v: no rung found an attack; the A/B is vacuous", mode)
+				}
+				got := reps[0].SolverStats
+				if par == 1 {
+					seqStats = got
+					continue
+				}
+				search, seqSearch := got, seqStats
+				search.SATVars, search.Clauses, seqSearch.SATVars, seqSearch.Clauses = 0, 0, 0, 0
+				if mode == VerifyLP && allFound(reps) && (search != seqSearch || got.Clauses >= seqStats.Clauses) {
+					t.Errorf("%v: parallelism %d counts a discarded speculation: SolverStats %+v, sequential %+v",
+						mode, par, got, seqStats)
+				}
+			}
 		}
 	}
+}
+
+// allFound reports whether every rung closed Found, so the loop returned with
+// a speculation in flight whenever it speculated.
+func allFound(reps []*Report) bool {
+	for _, r := range reps {
+		if !r.Found {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRunLadderColdMatchesIncremental: the NoIncremental fallback produces

@@ -7,8 +7,13 @@
 //
 // The solver is used by the OPF module to compute exact minimum-cost
 // generation dispatches. Problem sizes in this repository are small (a few
-// hundred variables and rows for the 118-bus system), so a dense tableau with
-// Bland's anti-cycling fallback is simple, robust, and fast enough.
+// hundred variables and rows for the 118-bus system), so the kernel is a
+// dense tableau, held in one slab, with Bland's anti-cycling fallback. It
+// skips the arithmetic that cannot change a value: a pivot updates only the
+// pivot row's nonzero columns, and reduced costs are computed only for the
+// columns that may enter the basis. Each value it computes therefore equals
+// the one a full dense update gives, bit for bit, and so does the pivot
+// sequence; reference_test.go holds the full dense kernel as the oracle.
 package lp
 
 import (

@@ -25,8 +25,8 @@ const (
 // tableau is the working state of the bounded-variable simplex: the matrix
 // holds B^-1 * A (updated by pivoting), xB holds the basic variable values.
 type tableau struct {
-	m, n   int // rows, total columns (structural + slack + artificial)
-	a      [][]float64
+	m, n   int       // rows, total columns (structural + slack + artificial)
+	a      []float64 // B^-1 * A, row-major in one slab: row i is a[i*n:(i+1)*n]
 	xB     []float64
 	basis  []int
 	status []varStatus
@@ -34,6 +34,16 @@ type tableau struct {
 	upper  []float64
 	nonbas []float64 // current value of each variable when nonbasic
 	pivots int       // basis changes performed (diagnostic counter)
+
+	// Per-iteration scratch, reused so an iteration allocates nothing.
+	d     []float64 // reduced costs, valid at the entering candidates only
+	cands []int     // entering candidates, in increasing column order
+	nz    []int     // nonzero columns of the last pivot row
+}
+
+// row returns row i of the tableau matrix.
+func (t *tableau) row(i int) []float64 {
+	return t.a[i*t.n : (i+1)*t.n : (i+1)*t.n]
 }
 
 // Solve runs two-phase simplex and returns the solution.
@@ -73,16 +83,16 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	t := &tableau{
 		m:      m,
 		n:      n,
-		a:      make([][]float64, m),
+		a:      make([]float64, m*n),
 		xB:     make([]float64, m),
 		basis:  make([]int, m),
 		status: make([]varStatus, n),
 		lower:  make([]float64, n),
 		upper:  make([]float64, n),
 		nonbas: make([]float64, n),
-	}
-	for i := range t.a {
-		t.a[i] = make([]float64, n)
+		d:      make([]float64, n),
+		cands:  make([]int, 0, n),
+		nz:     make([]int, 0, n),
 	}
 	copy(t.lower, p.lower)
 	copy(t.upper, p.upper)
@@ -115,11 +125,12 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 	signs := make([]float64, m)
 	for i, c := range p.cons {
 		signs[i] = 1
+		row := t.row(i)
 		for _, term := range c.terms {
-			t.a[i][term.Var] += term.Coeff
+			row[term.Var] += term.Coeff
 		}
 		if c.sense != EQ {
-			t.a[i][slackIdx] = 1
+			row[slackIdx] = 1
 			if c.sense == LE {
 				t.lower[slackIdx], t.upper[slackIdx] = 0, math.Inf(1)
 				t.status[slackIdx] = statusAtLower
@@ -135,19 +146,19 @@ func (p *Problem) solveCold(wantWarm bool) (*Solution, *Warm, error) {
 		// starting value is non-negative.
 		resid := c.rhs
 		for j := 0; j < artIdx; j++ {
-			if t.a[i][j] != 0 && t.status[j] != statusBasic {
-				resid -= t.a[i][j] * t.nonbas[j]
+			if row[j] != 0 && t.status[j] != statusBasic {
+				resid -= row[j] * t.nonbas[j]
 			}
 		}
 		if resid < 0 {
 			for j := 0; j < artIdx; j++ {
-				t.a[i][j] = -t.a[i][j]
+				row[j] = -row[j]
 			}
 			resid = -resid
 			signs[i] = -1
 		}
 		art := artIdx + i
-		t.a[i][art] = 1
+		row[art] = 1
 		t.lower[art], t.upper[art] = 0, math.Inf(1)
 		t.basis[i] = art
 		t.status[art] = statusBasic
@@ -247,21 +258,41 @@ func (t *tableau) objective(cost []float64) float64 {
 	return s
 }
 
-// reducedCosts computes d_j = c_j - c_B' * (B^-1 A)_j for all columns.
-func (t *tableau) reducedCosts(cost []float64) []float64 {
-	d := make([]float64, t.n)
-	copy(d, cost)
+// candidate reports whether nonbasic column j may enter the basis: a free
+// variable always may, a bounded one unless it is fixed at lower == upper.
+func (t *tableau) candidate(j int) bool {
+	switch t.status[j] {
+	case statusFree:
+		return true
+	case statusAtLower, statusAtUpper:
+		return t.lower[j] < t.upper[j]
+	}
+	return false
+}
+
+// reducedCosts lists the entering candidates in t.cands and computes
+// d_j = c_j - c_B' * (B^-1 A)_j into t.d for those columns only; no other
+// column can enter. Each d_j subtracts the rows in basis order, so its value
+// is the one a sweep over every column would give.
+func (t *tableau) reducedCosts(cost []float64) {
+	t.cands = t.cands[:0]
+	for j := 0; j < t.n; j++ {
+		if t.candidate(j) {
+			t.cands = append(t.cands, j)
+			t.d[j] = cost[j]
+		}
+	}
+	d := t.d
 	for i, b := range t.basis {
 		cb := cost[b]
 		if cb == 0 {
 			continue
 		}
-		row := t.a[i]
-		for j := 0; j < t.n; j++ {
+		row := t.row(i)
+		for _, j := range t.cands {
 			d[j] -= cb * row[j]
 		}
 	}
-	return d
 }
 
 // iterate runs simplex iterations for the given cost vector until optimality
@@ -273,30 +304,29 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 			return 0, fmt.Errorf("lp: iteration limit exceeded (%d iterations, %d rows, %d cols)", iter, t.m, t.n)
 		}
 		bland := iter > blandAfter
-		d := t.reducedCosts(cost)
+		t.reducedCosts(cost)
+		d := t.d
 
 		// Entering variable selection.
 		enter, dir := -1, 0.0
 		bestScore := costTol
-		for j := 0; j < t.n; j++ {
+		for _, j := range t.cands {
 			var improving bool
 			var dj float64
 			switch t.status[j] {
 			case statusAtLower:
-				improving = d[j] < -costTol && t.lower[j] < t.upper[j]
+				improving = d[j] < -costTol
 				dj = 1
 			case statusAtUpper:
-				improving = d[j] > costTol && t.lower[j] < t.upper[j]
+				improving = d[j] > costTol
 				dj = -1
-			case statusFree:
+			default: // statusFree
 				improving = math.Abs(d[j]) > costTol
 				if d[j] > 0 {
 					dj = -1
 				} else {
 					dj = 1
 				}
-			default:
-				continue
 			}
 			if !improving {
 				continue
@@ -323,7 +353,7 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 			limit = t.upper[enter] - t.lower[enter]
 		}
 		for i := 0; i < t.m; i++ {
-			alpha := t.a[i][enter]
+			alpha := t.a[i*t.n+enter]
 			if math.Abs(alpha) <= pivotTol {
 				continue
 			}
@@ -360,7 +390,7 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 
 		// Apply the move to the basic values.
 		for i := 0; i < t.m; i++ {
-			t.xB[i] -= dir * t.a[i][enter] * limit
+			t.xB[i] -= dir * t.a[i*t.n+enter] * limit
 		}
 		enterVal := t.nonbas[enter] + dir*limit
 
@@ -395,25 +425,31 @@ func (t *tableau) iterate(cost []float64) (Status, error) {
 }
 
 // pivot performs Gauss-Jordan elimination so column `col` becomes the unit
-// vector for row `row`.
+// vector for row `row`. Only the pivot row's nonzero columns are updated in
+// the other rows: subtracting f*0 could change at most the sign of a zero,
+// so every value stays the one a dense row update would give.
 func (t *tableau) pivot(row, col int) {
-	pr := t.a[row]
-	pv := pr[col]
-	inv := 1 / pv
-	for j := 0; j < t.n; j++ {
-		pr[j] *= inv
+	pr := t.row(row)
+	inv := 1 / pr[col]
+	nz := t.nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	pr[col] = 1 // avoid round-off drift on the pivot element
 	for i := 0; i < t.m; i++ {
 		if i == row {
 			continue
 		}
-		f := t.a[i][col]
+		ri := t.row(i)
+		f := ri[col]
 		if f == 0 {
 			continue
 		}
-		ri := t.a[i]
-		for j := 0; j < t.n; j++ {
+		for _, j := range nz {
 			ri[j] -= f * pr[j]
 		}
 		ri[col] = 0

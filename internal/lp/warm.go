@@ -84,7 +84,7 @@ func (p *Problem) warmResolve(w *Warm) (*Solution, bool) {
 		s := w.signs[i] * d
 		art := w.artIdx + i
 		for r := 0; r < t.m; r++ {
-			if v := t.a[r][art]; v != 0 {
+			if v := t.a[r*t.n+art]; v != 0 {
 				t.xB[r] += v * s
 			}
 		}

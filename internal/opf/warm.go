@@ -35,8 +35,9 @@ type WarmSolver struct {
 	stats WarmStats
 }
 
-// warmCacheCap bounds retained tableaux. Each entry is O((rows+cols)^2)
-// floats; the sweep touches one topology per candidate attack plus the true
+// warmCacheCap bounds retained tableaux. Each entry holds rows x cols
+// floats, where cols counts structural, slack and artificial columns; the
+// sweep touches one topology per candidate attack plus the true
 // topology, and revisits are dominated by the most recent few.
 const warmCacheCap = 8
 

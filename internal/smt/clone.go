@@ -9,9 +9,8 @@ import "math/big"
 // same sequence of calls. Formula AST nodes in the Tseitin cache are shared
 // (they are immutable); everything mutable is copied.
 //
-// Clone is the foundation of the portfolio solver (CheckPortfolioStable) and of
-// the analyzer's speculative find–verify pipeline, where a replica continues
-// the search under an assumption while the original stays untouched.
+// Clone is the foundation of the portfolio solver (CheckPortfolioStable),
+// whose diversified replicas search while the original stays untouched.
 func (s *Solver) Clone() *Solver {
 	core, cmap := s.core.clone()
 	cp := &Solver{

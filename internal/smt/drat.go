@@ -102,29 +102,6 @@ func (d DRat) Float64(delta float64) float64 {
 	return a + b*delta
 }
 
-// setFrom copies o's value into d's existing storage. The receiver must own
-// its rationals exclusively (the simplex maintains this invariant for its
-// beta assignment).
-func (d DRat) setFrom(o DRat) {
-	d.A.Set(o.A)
-	d.B.Set(o.B)
-}
-
-// addInPlace adds o into d's existing storage.
-func (d DRat) addInPlace(o DRat) {
-	d.A.Add(d.A, o.A)
-	d.B.Add(d.B, o.B)
-}
-
-// addScaledInPlace adds c*o into d's existing storage, using scratch for the
-// intermediate products.
-func (d DRat) addScaledInPlace(o DRat, c, scratch *big.Rat) {
-	scratch.Mul(o.A, c)
-	d.A.Add(d.A, scratch)
-	scratch.Mul(o.B, c)
-	d.B.Add(d.B, scratch)
-}
-
 // Substitute returns the plain rational value of d for a concrete positive
 // rational delta.
 func (d DRat) Substitute(delta *big.Rat) *big.Rat {

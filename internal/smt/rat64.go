@@ -88,20 +88,6 @@ func r64FromBig(x *big.Rat) rat64 {
 	return rat64{promoted: new(big.Rat).Set(x)}
 }
 
-// maybeDemote pulls a freshly computed big.Rat back onto the fast path when
-// it fits, so a transient overflow cannot poison the rest of the run. The
-// argument must be exclusively owned (it is adopted as promoted storage when
-// it does not fit).
-func maybeDemote(x *big.Rat) rat64 {
-	if n, d := x.Num(), x.Denom(); n.IsInt64() && d.IsInt64() {
-		ni, di := n.Int64(), d.Int64()
-		if ni != math.MinInt64 && di != math.MinInt64 {
-			return rat64{num: ni, den: di}
-		}
-	}
-	return rat64{promoted: x}
-}
-
 // gcd64 returns the greatest common divisor of two non-negative int64s.
 func gcd64(a, b int64) int64 {
 	for b != 0 {
@@ -371,14 +357,6 @@ type drat64 struct {
 }
 
 func d64FromInt(n int64) drat64 { return drat64{a: r64FromInt(n), b: r64FromInt(0)} }
-
-// d64FromDRat converts a public DRat into the internal hybrid form.
-func d64FromDRat(d DRat) drat64 {
-	return drat64{a: r64FromBig(d.A), b: r64FromBig(d.B)}
-}
-
-// toDRat converts back to the public big.Rat-backed form (fresh storage).
-func (d drat64) toDRat() DRat { return DRat{A: d.a.toBig(), B: d.b.toBig()} }
 
 // substitute returns the plain rational value for a concrete positive delta.
 func (d drat64) substitute(delta *big.Rat) *big.Rat {
