@@ -1,16 +1,15 @@
 // Command benchreport regenerates the paper's evaluation artifacts (Sec. IV)
 // and prints them as tables: Fig. 4(a)/(b)/(c) impact-verification times,
 // Fig. 5(a) OPF-model times, Fig. 5(b)/(c) attack-model times, and Table IV
-// memory requirements. The extra "par" artifact measures the parallel
-// analyzer's speedup over the sequential reference at increasing worker
-// counts.
+// memory requirements. The extra "par" artifact measures the speculative
+// find–verify pipeline (Parallelism 2) against the sequential loop.
 //
 // Usage:
 //
 //	benchreport -fig 4a            # one artifact
 //	benchreport -all               # everything (minutes on large systems)
 //	benchreport -fig 4b -cases paper5,ieee14,synth30
-//	benchreport -fig par           # parallel scaling (speedup vs. workers)
+//	benchreport -fig par           # speculative pipeline vs. sequential loop
 //	benchreport -fig serve         # service throughput under the loadgen mix
 package main
 
@@ -166,7 +165,7 @@ func runOne(w io.Writer, artifact string, names []string, maxConflicts int64, so
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "Parallel scaling: impact-analysis time vs. workers (unsat-heavy workload)")
+		fmt.Fprintln(w, "Speculative pipeline: impact-analysis time at Parallelism 1 and 2 (unsat-heavy workload)")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "case\tbuses\tworkers\tresult\titers\ttime\tspeedup")
 		baseline := make(map[string]float64)

@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 		verifyMode = fs.String("verify", "lp", "OPF verification backend: lp, smt, or shift")
 		maxIter    = fs.Int("max-iter", 200, "maximum attack vectors to examine")
 		operating  = fs.String("operating", "", "pre-attack generation dispatch as comma-separated per-bus values (default: the OPF optimum)")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for the analysis: 0 = all CPUs, 1 = sequential; verdicts are identical at every setting")
+		parallel   = fs.Int("parallel", 0, "above 1, overlap the next candidate search with verification (0 = all CPUs, 1 = sequential); verdicts are identical at every setting")
 		certify    = fs.Bool("certify", false, "check an independent certificate for every SMT verdict before trusting it")
 		noIncr     = fs.Bool("no-incremental", false, "disable the incremental (assumption-based) encoding and rebuild solver state cold for every query")
 		budget     = fs.String("budget", "", "per-query solver budget as key=value pairs: conflicts=N, pivots=N, time=DURATION (e.g. conflicts=500000,time=30s)")

@@ -334,22 +334,19 @@ func (m *Model) assertSomeTopologyChange() {
 // FindVector searches for a stealthy attack vector. It returns nil (and no
 // error) when the attack space is exhausted (unsat).
 func (m *Model) FindVector() (*Vector, error) {
-	return m.FindVectorPortfolio(context.Background(), 1)
+	return m.FindVectorContext(context.Background())
 }
 
-// FindVectorPortfolio is FindVector with context cancellation and a stable
-// solver portfolio of width n (n <= 1 runs the plain sequential search).
-// The stable portfolio guarantees the returned vector and the exhaustion
-// verdict are identical at every n, so parallel impact analysis enumerates
-// exactly the sequence of candidates the sequential analysis would.
-func (m *Model) FindVectorPortfolio(ctx context.Context, n int) (*Vector, error) {
+// FindVectorContext is FindVector with context cancellation: a canceled ctx
+// stops the search with an error matching smt.ErrCanceled.
+func (m *Model) FindVectorContext(ctx context.Context) (*Vector, error) {
 	m.solver.MaxConflicts = m.MaxConflicts
 	m.solver.MaxDuration = m.MaxDuration
 	m.solver.MaxPivots = m.MaxPivots
 	if m.Certify {
 		m.solver.Certify = true
 	}
-	res, err := m.solver.CheckPortfolioStable(ctx, n)
+	res, err := m.solver.CheckContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("attack: solver: %w", err)
 	}

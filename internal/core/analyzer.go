@@ -87,12 +87,14 @@ type Analyzer struct {
 	// Verify selects the impact-verification backend; 0 selects VerifyLP.
 	Verify VerifyMode
 
-	// Parallelism is the number of worker goroutines the analysis may use:
-	// 0 selects runtime.GOMAXPROCS(0), 1 runs the exact sequential reference
-	// loop, and larger values enable the speculative find–verify pipeline
-	// plus stable solver portfolios. The report's verdicts (Found, Exhausted,
-	// the vector itself) are identical at every setting; only wall-clock
-	// time changes. See DESIGN.md, "Parallel impact analysis".
+	// Parallelism selects the speculative find–verify pipeline: 0 selects
+	// runtime.GOMAXPROCS(0), 1 runs the loop strictly sequentially, and any
+	// larger value overlaps the search for the next candidate with the
+	// verification of the current one (so values above 2 behave like 2).
+	// The report's verdicts (Found, Exhausted, Canceled, Iterations, the
+	// vector itself) are identical at every setting, under MaxConflicts and
+	// MaxPivots budgets too; only wall-clock time changes. See DESIGN.md,
+	// "Parallel impact analysis".
 	Parallelism int
 
 	// MaxPivots bounds simplex pivots per SMT query (0 = unlimited); like

@@ -280,9 +280,8 @@ func (e *engine) loop() error {
 			v, err, took = spec.v, spec.err, spec.took
 			spec = nil
 		} else {
-			// Nothing to overlap with: give the search the full portfolio.
 			t0 := time.Now()
-			v, err = e.model.FindVectorPortfolio(ctx, e.par)
+			v, err = e.model.FindVectorContext(ctx)
 			took = time.Since(t0)
 		}
 		for _, i := range open {
@@ -350,8 +349,7 @@ func (e *engine) speculate(ctx context.Context, v *attack.Vector) *speculation {
 		defer close(s.done)
 		t0 := time.Now()
 		model.Block(v, e.a.BlockPrecision)
-		// Sequential search: the verification holds the other workers.
-		s.v, s.err = model.FindVectorPortfolio(sctx, 1)
+		s.v, s.err = model.FindVectorContext(sctx)
 		s.took = time.Since(t0)
 	}()
 	return s
@@ -486,7 +484,6 @@ func (e *engine) feasibility(v *attack.Vector) (*opf.FeasibilityModel, error) {
 		return nil, err
 	}
 	fm.Incremental = a.incremental()
-	fm.Parallelism = max(1, e.par-1) // the speculative search holds one worker
 	fm.MaxPivots = a.MaxPivots
 	fm.Certify = a.Certify
 	return fm, nil

@@ -71,8 +71,7 @@ func TestParallelDeterminismFound(t *testing.T) {
 
 // TestParallelDeterminismExhausted covers the unsat outcome (an unreachable
 // target exhausts the quantized attack space), where the pipeline's
-// speculation is right every iteration, under the SMT verification backend
-// so the portfolio path is exercised too.
+// speculation is right every iteration, under the SMT verification backend.
 func TestParallelDeterminismExhausted(t *testing.T) {
 	a := Analyzer{
 		Grid: cases.Paper5Bus(),
@@ -107,5 +106,46 @@ func TestParallelDeterminismIterCapped(t *testing.T) {
 	seq := runAt(t, a, 1)
 	for _, par := range []int{4} {
 		requireSameVerdict(t, seq, runAt(t, a, par), par)
+	}
+}
+
+// TestParallelDeterminismBudget runs ieee14 ladders under binding
+// deterministic budgets: a MaxConflicts budget that cancels the candidate
+// search after the first iteration (at Parallelism > 1 inside the
+// speculative search), and a MaxPivots budget that cancels one rung's SMT
+// verification while the other rungs run on to exhaustion. Every rung's
+// verdict, Canceled included, must match the sequential loop's.
+func TestParallelDeterminismBudget(t *testing.T) {
+	reg := cases.Registry()
+	targets := []float64{0.3, 0.6, 0.75, 1.5}
+	for _, tc := range []struct {
+		name         string
+		seed         int64
+		verify       VerifyMode
+		maxConflicts int64
+		maxPivots    int64
+	}{
+		{"search-conflicts", 8, VerifyLP, 15, 0},
+		{"verify-pivots", 6, VerifySMT, 0, 40},
+	} {
+		a := *NewScenario(reg["ieee14"], ScenarioConfig{Seed: tc.seed}).Analyzer(1)
+		a.MaxIterations = 8
+		a.Verify = tc.verify
+		a.MaxConflicts = tc.maxConflicts
+		a.MaxPivots = tc.maxPivots
+		seq := runLadderAt(t, a, targets, 1)
+		var canceled, examined bool
+		for _, r := range seq {
+			canceled = canceled || r.Canceled
+			examined = examined || r.Iterations > 0
+		}
+		if !canceled || !examined {
+			t.Fatalf("%s: the budget must cancel a rung after examining a candidate; the A/B is vacuous", tc.name)
+		}
+		for _, par := range []int{2, 4} {
+			for i, rep := range runLadderAt(t, a, targets, par) {
+				requireSameVerdict(t, seq[i], rep, par)
+			}
+		}
 	}
 }

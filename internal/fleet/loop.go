@@ -97,7 +97,8 @@ type Config struct {
 	// MonitorTargets are the cost-increase percentages the online monitor
 	// probes on topology drift (nil: monitor disabled). MonitorCapability is
 	// the attacker model the monitor assumes; the budgets bound each ladder
-	// run.
+	// run. MonitorParallelism is the ladder's core.Analyzer.Parallelism
+	// (above 1: overlap each candidate search with verification).
 	MonitorTargets       []float64
 	MonitorCapability    attack.Capability
 	MonitorMaxIterations int

@@ -26,7 +26,7 @@ import (
 //     once as a Tseitin literal and passed to the solver as an assumption, so
 //     caps are fully retractable and may arrive in any order. This is what
 //     the analyzer's incremental ladder uses to ask one encoded model about
-//     many thresholds. Queries run sequentially (no portfolio).
+//     many thresholds.
 type FeasibilityModel struct {
 	s     *smt.Solver
 	b     *expr.Builder
@@ -41,12 +41,6 @@ type FeasibilityModel struct {
 	// after the first CheckCostBelow is not supported.
 	Incremental bool
 	capLits     map[*expr.Node]smt.Lit // hash-consed cap atom -> interned literal
-
-	// Parallelism is the portfolio width for each query; values <= 1 run the
-	// plain sequential Check. The stable portfolio is used, so answers (and
-	// the witnessing dispatch) are identical at every width. Ignored in
-	// incremental mode, which is sequential.
-	Parallelism int
 
 	// MaxPivots bounds simplex pivots per query (0 = unlimited).
 	MaxPivots int64
@@ -141,7 +135,7 @@ func (m *FeasibilityModel) CheckCostBelow(ctx context.Context, costCap float64) 
 	if m.Certify {
 		m.s.Certify = true
 	}
-	res, err := m.s.CheckPortfolioStable(ctx, m.Parallelism)
+	res, err := m.s.CheckContext(ctx)
 	if err != nil {
 		return false, err
 	}

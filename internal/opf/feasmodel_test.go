@@ -76,44 +76,3 @@ func TestFeasibilityModelRejectsLooserCap(t *testing.T) {
 		t.Fatalf("repeated cap: %v", err)
 	}
 }
-
-// TestFeasibilityModelParallelStable checks the portfolio path returns the
-// same answers as the sequential one.
-func TestFeasibilityModelParallelStable(t *testing.T) {
-	g := cases.Paper5Bus()
-	topo := g.TrueTopology()
-	base, err := Solve(g, topo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, factor := range []float64{1.5, 0.99} {
-		seqM, err := NewFeasibilityModel(g, topo, nil, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := seqM.CheckCostBelow(context.Background(), base.Cost*factor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parM, err := NewFeasibilityModel(g, topo, nil, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parM.Parallelism = 4
-		par, err := parM.CheckCostBelow(context.Background(), base.Cost*factor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != par {
-			t.Errorf("factor %.2f: sequential %v, portfolio %v", factor, seq, par)
-		}
-		if seq && par {
-			sd, pd := seqM.Dispatch(), parM.Dispatch()
-			for i := range sd {
-				if sd[i] != pd[i] {
-					t.Errorf("factor %.2f: dispatch[%d] differs: %v vs %v", factor, i, sd[i], pd[i])
-				}
-			}
-		}
-	}
-}

@@ -24,9 +24,10 @@ type Tier struct {
 	MaxPivots int64 `json:"max_pivots"`
 	// QueryTimeout bounds wall-clock time per solver query (0 = unlimited).
 	QueryTimeout time.Duration `json:"query_timeout"`
-	// Parallelism is the worker width one job of this tier may use inside
-	// its analysis (0 = 1: jobs are the unit of parallelism, the queue's
-	// sharded workers provide throughput).
+	// Parallelism is passed to each job's core.Analyzer.Parallelism: above
+	// 1, a job overlaps its next candidate search with verification (0 = 1:
+	// jobs are the unit of parallelism, the queue's sharded workers provide
+	// throughput).
 	Parallelism int `json:"parallelism"`
 }
 

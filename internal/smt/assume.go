@@ -3,7 +3,6 @@ package smt
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 )
 
 // Solving under assumptions (minisat-style): CheckAssuming decides the
@@ -77,29 +76,7 @@ func (s *Solver) CheckAssuming(assumps ...Lit) (Result, error) {
 // CheckAssumingContext is CheckAssuming with context cancellation, mirroring
 // CheckContext.
 func (s *Solver) CheckAssumingContext(ctx context.Context, assumps ...Lit) (Result, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.CheckAssuming(assumps...)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, ErrCanceled
-	}
-	var stop atomic.Bool
-	s.SetInterrupt(&stop)
-	defer s.SetInterrupt(nil)
-	finished := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-finished:
-		}
-	}()
-	res, err := s.CheckAssuming(assumps...)
-	close(finished)
-	<-watcherDone
-	return res, err
+	return s.withContext(ctx, func() (Result, error) { return s.CheckAssuming(assumps...) })
 }
 
 // FailedAssumptions returns, after a relative Unsat from CheckAssuming, a

@@ -211,21 +211,3 @@ func TestCheckAssumingContext(t *testing.T) {
 		t.Fatalf("after cancellation: got %v, %v, want Sat", res, err)
 	}
 }
-
-// TestAssumptionsCloneCarriesState: a clone taken after a relative Unsat
-// behaves like the original (no latch, same failed core semantics).
-func TestAssumptionsCloneCarriesState(t *testing.T) {
-	s := newAssumingSolver(t)
-	a := s.NewBool("a")
-	s.Assert(Not(Bool(a)))
-	if res, err := s.CheckAssuming(LitOf(a, true)); err != nil || res != Unsat {
-		t.Fatalf("got %v, %v, want relative Unsat", res, err)
-	}
-	cp := s.Clone()
-	if got := cp.FailedAssumptions(); len(got) != 1 || got[0].Var() != a {
-		t.Fatalf("clone failed core %v, want just a=%d", got, a)
-	}
-	if res, err := cp.Check(); err != nil || res != Sat {
-		t.Fatalf("clone plain Check: got %v, %v, want Sat (latch leaked through Clone?)", res, err)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/big"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,6 +270,10 @@ func TestUncertifiedCheckSpoilsCertificates(t *testing.T) {
 	if err := cert.Verify(); err == nil {
 		t.Fatal("Verify accepted a certificate spanning an uncertified Check")
 	}
+	// CheckContext verifies the certificate before it returns the verdict.
+	if res, err := s.CheckContext(context.Background()); err == nil {
+		t.Fatalf("CheckContext = %v with a spoiled certificate; want an error", res)
+	}
 }
 
 func theoryStepIndex(c *Certificate) int {
@@ -294,60 +297,21 @@ func tamperFarkas(cert *Certificate, step int, v *big.Rat) Certificate {
 	return mut
 }
 
+// TestPortfolioWinnerCertified: a certified Unsat through CheckContext
+// carries a certificate that verifies.
 func TestPortfolioWinnerCertified(t *testing.T) {
 	s := newCertSolver()
 	pigeonhole(s, 6)
-	res, err := s.CheckPortfolioStable(context.Background(), 4)
+	res, err := s.CheckContext(context.Background())
 	if err != nil || res != Unsat {
-		t.Fatalf("CheckPortfolioStable = %v, %v; want Unsat", res, err)
+		t.Fatalf("CheckContext = %v, %v; want Unsat", res, err)
 	}
 	cert := s.Certificate()
 	if cert == nil {
-		t.Fatal("no certificate after certified portfolio Unsat")
+		t.Fatal("no certificate after certified CheckContext Unsat")
 	}
 	if err := cert.Verify(); err != nil {
-		t.Fatalf("portfolio winner certificate Verify() = %v", err)
-	}
-}
-
-// TestPortfolioReplicaPanicIsolated injects a panic into every helper
-// replica; the race must degrade to the primary's verdict instead of
-// crashing the process.
-func TestPortfolioReplicaPanicIsolated(t *testing.T) {
-	testReplicaFault = func(i int) {
-		if i != 0 {
-			panic("injected replica fault")
-		}
-	}
-	defer func() { testReplicaFault = nil }()
-
-	s := NewSolver()
-	x := s.NewReal("x")
-	s.Assert(atomCmp(x, OpGE, 3))
-	res, err := s.CheckPortfolioStable(context.Background(), 4)
-	if err != nil || res != Sat {
-		t.Fatalf("CheckPortfolioStable with panicking helpers = %v, %v; want Sat", res, err)
-	}
-	if got := s.RealValue(x); got.Cmp(big.NewRat(3, 1)) < 0 {
-		t.Fatalf("model x = %v, want >= 3", got)
-	}
-}
-
-// TestPortfolioAllReplicasPanic checks the all-fail path: the panic surfaces
-// as an ordinary error carrying the replica's stack.
-func TestPortfolioAllReplicasPanic(t *testing.T) {
-	testReplicaFault = func(int) { panic("injected replica fault") }
-	defer func() { testReplicaFault = nil }()
-
-	s := NewSolver()
-	x := s.NewReal("x")
-	s.Assert(atomCmp(x, OpGE, 3))
-	_, err := s.CheckPortfolioStable(context.Background(), 3)
-	if err == nil {
-		t.Fatal("CheckPortfolioStable succeeded although every replica panicked")
-	}
-	if !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("error does not identify the panic: %v", err)
+		t.Fatalf("CheckContext certificate Verify() = %v", err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //     negation can never overflow);
 //   - promoted != nil: the value is *promoted, and the big.Rat is IMMUTABLE
 //     from the moment it is stored — every operation allocates a fresh result
-//     rational, so promoted values may be shared freely (e.g. by Clone).
+//     rational, so promoted values may be shared freely.
 type rat64 struct {
 	num, den int64
 	promoted *big.Rat

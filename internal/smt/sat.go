@@ -57,8 +57,7 @@ type satCore struct {
 	// Statistics.
 	decisions, conflicts, propagations int64
 
-	// Scratch buffers reused across calls (never cloned — clones start
-	// fresh): addBuf backs addClause's dedup pass, seenBuf the conflict
+	// Scratch buffers reused across calls: addBuf backs addClause's dedup pass, seenBuf the conflict
 	// analysis marks (all-false between analyze calls by invariant).
 	addBuf  []literal
 	seenBuf []bool

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sync/atomic"
@@ -161,15 +162,9 @@ type Solver struct {
 	lastCert   *Certificate
 
 	// interrupt, when non-nil and set, cancels an in-flight Check at the
-	// next poll point (installed by SetInterrupt; used by the portfolio and
-	// context-aware entry points).
+	// next poll point (installed by SetInterrupt; used by the context-aware
+	// entry points).
 	interrupt *atomic.Bool
-
-	// Portfolio diversification knobs; zero values select the sequential
-	// solver's defaults. Set by diversify on portfolio helper replicas.
-	restartUnit int64  // conflicts per Luby restart unit (0 = lubyUnit)
-	rngState    uint64 // xorshift64 state for decision-phase flips (0 = off)
-	randFreq    uint64 // flip roughly one decision phase in randFreq
 
 	// Assumption state (see assume.go): assumps holds the literals of an
 	// in-flight CheckAssuming (empty otherwise); assumpRelative records that
@@ -197,32 +192,6 @@ func (s *Solver) SetInterrupt(flag *atomic.Bool) {
 // interrupted reports whether the external cancellation flag is set.
 func (s *Solver) interrupted() bool {
 	return s.interrupt != nil && s.interrupt.Load()
-}
-
-// diversify perturbs the replica's search heuristics so portfolio members
-// explore different regions of the search space: odd replicas invert their
-// saved branching polarities, the Luby restart unit cycles through 1x/2x/4x
-// scales, and a seeded xorshift flips roughly one decision polarity in 16.
-// Each replica stays fully deterministic for a given index.
-func (s *Solver) diversify(i int) {
-	if i%2 == 1 {
-		for v := range s.core.phase {
-			s.core.phase[v] = !s.core.phase[v]
-		}
-	}
-	s.restartUnit = int64(lubyUnit) << uint((i/2)%3)
-	s.rngState = 0x9E3779B97F4A7C15*uint64(i) + 0xD1B54A32D192ED03
-	s.randFreq = 16
-}
-
-// nextRand advances the replica's xorshift64 state.
-func (s *Solver) nextRand() uint64 {
-	x := s.rngState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rngState = x
-	return x
 }
 
 // NewSolver returns an empty solver. When the GRIDATTACK_CERTIFY environment
@@ -381,6 +350,53 @@ func (s *Solver) Check() (Result, error) {
 	return res, err
 }
 
+// CheckContext is Check with context cancellation: when ctx is canceled, the
+// search stops at its next poll point and returns ErrCanceled. A ctx without
+// a Done channel degrades to a plain Check with no watcher goroutine. With
+// Certify set, a verdict is returned only once its certificate verifies
+// (Check already does so in self-check mode).
+func (s *Solver) CheckContext(ctx context.Context) (Result, error) {
+	res, err := s.withContext(ctx, s.Check)
+	if err == nil && s.Certify && !s.selfCheck {
+		cert := s.Certificate()
+		if cert == nil {
+			return 0, fmt.Errorf("smt: certified check produced no certificate")
+		}
+		if verr := cert.Verify(); verr != nil {
+			return 0, fmt.Errorf("smt: certificate verification failed: %w", verr)
+		}
+	}
+	return res, err
+}
+
+// withContext runs check with ctx's cancellation wired to the solver's
+// interrupt flag by a watcher goroutine, which has exited when it returns.
+func (s *Solver) withContext(ctx context.Context, check func() (Result, error)) (Result, error) {
+	if ctx == nil || ctx.Done() == nil {
+		return check()
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, ErrCanceled
+	}
+	var stop atomic.Bool
+	s.SetInterrupt(&stop)
+	defer s.SetInterrupt(nil)
+	finished := make(chan struct{})
+	watcherDone := make(chan struct{})
+	go func() {
+		defer close(watcherDone)
+		select {
+		case <-ctx.Done():
+			stop.Store(true)
+		case <-finished:
+		}
+	}()
+	res, err := check()
+	close(finished)
+	<-watcherDone
+	return res, err
+}
+
 // Certificate returns the certificate of the most recent successful Check,
 // or nil when the last Check did not produce one (Certify disabled, or the
 // Check ended in an error).
@@ -404,12 +420,8 @@ func (s *Solver) check() (Result, error) {
 	s.backtrackAll()
 
 	var conflictsAtStart = s.core.conflicts
-	restartUnit := s.restartUnit
-	if restartUnit <= 0 {
-		restartUnit = lubyUnit
-	}
 	restartCount := 1
-	conflictBudget := restartUnit * luby(restartCount)
+	conflictBudget := lubyUnit * luby(restartCount)
 	conflictsThisRestart := int64(0)
 	var deadline time.Time
 	if s.MaxDuration > 0 {
@@ -523,7 +535,7 @@ func (s *Solver) check() (Result, error) {
 
 		if conflictsThisRestart >= conflictBudget {
 			restartCount++
-			conflictBudget = restartUnit * luby(restartCount)
+			conflictBudget = lubyUnit * luby(restartCount)
 			conflictsThisRestart = 0
 			s.core.cancelUntil(0)
 			s.simp.popTo(0)
@@ -602,11 +614,7 @@ func (s *Solver) check() (Result, error) {
 		s.core.decisions++
 		s.core.trailLim = append(s.core.trailLim, len(s.core.trail))
 		s.simp.push()
-		pol := s.core.phase[v]
-		if s.rngState != 0 && s.nextRand()%s.randFreq == 0 {
-			pol = !pol // diversified replica: occasional random polarity
-		}
-		s.core.enqueue(mkLit(v, !pol), nil)
+		s.core.enqueue(mkLit(v, !s.core.phase[v]), nil)
 	}
 }
 
