@@ -7,10 +7,10 @@ import (
 	"gridattack/internal/cases"
 )
 
-func smokeOne(t *testing.T, name string, states bool, target float64) {
-	if testing.Short() && name != "ieee14" {
-		t.Skip("short mode: skipping large-system smoke test")
-	}
+// smokeAnalyzer builds the scale smoke's analysis of a registry case:
+// scenario seed 1, at most 3 iterations and 500k conflicts.
+func smokeAnalyzer(t *testing.T, name string, states bool, target float64) *Analyzer {
+	t.Helper()
 	c, err := cases.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -19,6 +19,14 @@ func smokeOne(t *testing.T, name string, states bool, target float64) {
 	a := sc.Analyzer(target)
 	a.MaxIterations = 3
 	a.MaxConflicts = 500000
+	return a
+}
+
+func smokeOne(t *testing.T, name string, states bool, target float64) {
+	if testing.Short() && name != "ieee14" {
+		t.Skip("short mode: skipping large-system smoke test")
+	}
+	a := smokeAnalyzer(t, name, states, target)
 	start := time.Now()
 	rep, err := a.Run()
 	if err != nil {

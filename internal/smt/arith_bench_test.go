@@ -133,3 +133,37 @@ func BenchmarkIncrementalRecheck(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAddMulBig measures the fused x + f*y slow path alone: promoted
+// operands with two-word numerators and denominators that share factors,
+// the shape the state-infection (Fig. 4(b)) models produce once pivots
+// multiply denominators together. The triples cover both sum branches
+// (coprime and common denominators).
+func BenchmarkAddMulBig(b *testing.B) {
+	const p61, p31 = 1<<61 - 1, 1<<31 - 1
+	words := [][3][4]int64{
+		{{-p61, p31, 3, 7}, {p61, 11, p31, 15}, {2, 5, p61, p31}},
+		{{p61, 5, 2, p31}, {-p31, 5, p61, 7}, {p61, p61, 3, 1}},
+		{{3, 7, p61, p31}, {p61, p31, 1, 1}, {1, 1, 5, p61}},
+	}
+	var triples [][3]rat64
+	for _, w := range words {
+		var tr [3]rat64
+		for k := range tr {
+			tr[k], _, _ = wordOperand(w[k][0], w[k][1], w[k][2], w[k][3])
+			if !tr[k].isBig() {
+				b.Fatalf("operand %v is not promoted", w[k])
+			}
+		}
+		triples = append(triples, tr)
+	}
+	ar := &arith{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr := triples[i%len(triples)]
+		addMulSink = ar.addMul(tr[0], tr[1], tr[2])
+	}
+}
+
+var addMulSink rat64

@@ -48,6 +48,13 @@ type atomInfo struct {
 	nVal drat64
 }
 
+// atomRef is an atom's SAT variable and theory meaning, as the propagation
+// index holds them.
+type atomRef struct {
+	v    int
+	info *atomInfo
+}
+
 // initDeltaBounds fills the cached hybrid bounds from the big.Rat bound.
 func (a *atomInfo) initDeltaBounds() {
 	var pd, nd int64
@@ -65,7 +72,7 @@ func (a *atomInfo) initDeltaBounds() {
 			nd = -1
 		}
 	}
-	b := r64FromBig(a.bound)
+	b := r64FromFrac(a.bound.Num(), a.bound.Denom())
 	a.pVal = drat64{a: b, b: r64FromInt(pd)}
 	a.nVal = drat64{a: b, b: r64FromInt(nd)}
 }
@@ -312,9 +319,12 @@ func (s *Solver) inequalityLit(terms []LinTerm, op Op, rhs *big.Rat) literal {
 	// Index the atom under its simplex variable for theory propagation; the
 	// slice (and the first-use-ordered slack list) gives deterministic
 	// iteration where ranging over the atoms map would not.
-	if _, seen := s.atomsBySlack[slack]; !seen {
+	for len(s.atomsBySlack) <= slack {
+		s.atomsBySlack = append(s.atomsBySlack, nil)
+	}
+	if len(s.atomsBySlack[slack]) == 0 {
 		s.atomSlacks = append(s.atomSlacks, slack)
 	}
-	s.atomsBySlack[slack] = append(s.atomsBySlack[slack], v)
+	s.atomsBySlack[slack] = append(s.atomsBySlack[slack], atomRef{v, info})
 	return mkLit(v, false)
 }

@@ -16,49 +16,42 @@ import "math/big"
 // rowBounds caches the bounds implied by one basic variable's tableau row:
 // row value = sum(c_j * x_j), so an upper bound follows when every positive
 // column has an upper bound and every negative column a lower bound (and
-// symmetrically for the lower side).
+// symmetrically for the lower side). Only the two sums are kept; most rows
+// imply nothing, so a side's premises are collected (rowPremises) only when
+// a literal is actually propagated from it.
 type rowBounds struct {
+	basic      int
 	upOK, loOK bool
 	up, lo     drat64
-	upLits     []literal
-	loLits     []literal
-	upFarkas   []*big.Rat // |c_j| per premise; nil unless certifying
-	loFarkas   []*big.Rat
+}
+
+// boundFeeding returns the bound of column j that feeds the upper (or lower)
+// side of a row sum through coefficient c: the same-direction bound for a
+// positive coefficient, the opposite one for a negative coefficient.
+func (sp *simplex) boundFeeding(j int, c rat64, upper bool) *hbound {
+	if (c.Sign() > 0) == upper {
+		return &sp.ub[j]
+	}
+	return &sp.lb[j]
 }
 
 // deriveRowBounds computes both implied bounds of basic variable b's row.
 func (s *Solver) deriveRowBounds(b int) *rowBounds {
 	sp := s.simp
 	row := &sp.rows[b]
-	rb := &rowBounds{upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0)}
-	certify := s.Certify
+	rb := &rowBounds{basic: b, upOK: true, loOK: true, up: d64FromInt(0), lo: d64FromInt(0)}
 	for i, jc := range row.cols {
-		j := int(jc)
-		c := row.vals[i]
-		var upSide, loSide *hbound // which bound of x_j feeds which side
-		if c.Sign() > 0 {
-			upSide, loSide = &sp.ub[j], &sp.lb[j]
-		} else {
-			upSide, loSide = &sp.lb[j], &sp.ub[j]
-		}
+		j, c := int(jc), row.vals[i]
 		if rb.upOK {
-			if upSide.active {
-				rb.up = sp.daddScaled(rb.up, c, upSide.val)
-				rb.upLits = append(rb.upLits, upSide.reason)
-				if certify {
-					rb.upFarkas = append(rb.upFarkas, sp.abs(c).toBig())
-				}
+			if hb := sp.boundFeeding(j, c, true); hb.active {
+				rb.up = sp.daddScaled(rb.up, c, hb.val)
 			} else {
 				rb.upOK = false
 			}
 		}
 		if rb.loOK {
-			if loSide.active {
-				rb.lo = sp.daddScaled(rb.lo, c, loSide.val)
-				rb.loLits = append(rb.loLits, loSide.reason)
-				if certify {
-					rb.loFarkas = append(rb.loFarkas, sp.abs(c).toBig())
-				}
+			if hb := sp.boundFeeding(j, c, false); hb.active {
+				rb.lo = sp.daddScaled(rb.lo, c, hb.val)
 			} else {
 				rb.loOK = false
 			}
@@ -68,6 +61,25 @@ func (s *Solver) deriveRowBounds(b int) *rowBounds {
 		}
 	}
 	return rb
+}
+
+// rowPremises returns the bound literals behind one side of rb, in row
+// order, and — when certifying — their Farkas multipliers |c_j|. The side
+// is OK, so every column's feeding bound is active; bounds and rows do not
+// change while a propagation round runs.
+func (s *Solver) rowPremises(rb *rowBounds, upper bool) ([]literal, []*big.Rat) {
+	sp := s.simp
+	row := &sp.rows[rb.basic]
+	lits := make([]literal, 0, len(row.cols))
+	var farkas []*big.Rat
+	for i, jc := range row.cols {
+		c := row.vals[i]
+		lits = append(lits, sp.boundFeeding(int(jc), c, upper).reason)
+		if s.Certify {
+			farkas = append(farkas, sp.abs(c).toBig())
+		}
+	}
+	return lits, farkas
 }
 
 // theoryPropagate derives implied atom literals at a theory-consistent
@@ -88,16 +100,15 @@ func (s *Solver) theoryPropagate() bool {
 	for _, slack := range s.atomSlacks {
 		ub, lb := &sp.ub[slack], &sp.lb[slack]
 		var rb *rowBounds // derived lazily, only when an atom is unassigned
-		for _, av := range s.atomsBySlack[slack] {
-			if s.core.assign[av] != unassigned {
+		for _, a := range s.atomsBySlack[slack] {
+			if s.core.assign[a.v] != unassigned {
 				continue
 			}
 			if rb == nil && sp.basic[slack] {
 				rb = s.deriveRowBounds(slack)
 			}
-			info := s.atoms[av]
-			if s.tryImply(mkLit(av, false), info.isUpper, info.pVal, ub, lb, rb) ||
-				s.tryImply(mkLit(av, true), !info.isUpper, info.nVal, ub, lb, rb) {
+			if s.tryImply(mkLit(a.v, false), a.info.isUpper, a.info.pVal, ub, lb, rb) ||
+				s.tryImply(mkLit(a.v, true), !a.info.isUpper, a.info.nVal, ub, lb, rb) {
 				any = true
 			}
 		}
@@ -117,7 +128,8 @@ func (s *Solver) tryImply(l literal, wantUpper bool, val drat64, ub, lb *hbound,
 			return s.propagateLit(l, []literal{ub.reason}, s.unitFarkas())
 		}
 		if rb != nil && rb.upOK && sp.dcmp(rb.up, val) <= 0 {
-			return s.propagateLit(l, rb.upLits, rb.upFarkas)
+			lits, farkas := s.rowPremises(rb, true)
+			return s.propagateLit(l, lits, farkas)
 		}
 		return false
 	}
@@ -126,7 +138,8 @@ func (s *Solver) tryImply(l literal, wantUpper bool, val drat64, ub, lb *hbound,
 		return s.propagateLit(l, []literal{lb.reason}, s.unitFarkas())
 	}
 	if rb != nil && rb.loOK && sp.dcmp(rb.lo, val) >= 0 {
-		return s.propagateLit(l, rb.loLits, rb.loFarkas)
+		lits, farkas := s.rowPremises(rb, false)
+		return s.propagateLit(l, lits, farkas)
 	}
 	return false
 }

@@ -10,17 +10,23 @@ import (
 // numerator/denominator pair (den > 0, fully reduced, and never MinInt64 in
 // magnitude), and any operation whose intermediate products would overflow
 // transparently promotes the result to a big.Rat — the machine-rational
-// representation used by Yices and Z3. Grid coefficients are almost always
-// small (RatFromFloat caps denominators at 1e7), so in practice the vast
-// majority of simplex operations never leave the int64 path; the arith
-// counters prove it at run time (Solver.Stats).
+// representation used by Yices and Z3. Grid coefficients are small
+// (RatFromFloat caps denominators at 1e7), so topology-only models stay on
+// the int64 path; state-infection models do not: their pivots multiply
+// denominators together, and in the Fig. 4(b) synth30 sweep 39% of all ops
+// touch big.Rat. The slow path is therefore built like GMP's mpq_mul and
+// mpq_add (Knuth, TAOCP 4.5.1): each op reduces by gcds of small operands
+// and writes an already-reduced fraction, so no full-size cross product is
+// ever normalised. The arith counters report the split at run time
+// (Solver.Stats).
 //
 // Invariants:
 //   - promoted == nil: the value is num/den with den > 0, gcd(|num|,den) == 1
 //     (num == 0 implies den == 1), and |num|,den < 2^63 (MinInt64 excluded so
 //     negation can never overflow);
-//   - promoted != nil: the value is *promoted, and the big.Rat is IMMUTABLE
-//     from the moment it is stored — every operation allocates a fresh result
+//   - promoted != nil: the value is *promoted, reduced with a positive
+//     denominator, and does not fit the fast path. The big.Rat is IMMUTABLE
+//     from the moment it is stored — every operation writes a fresh result
 //     rational, so promoted values may be shared freely.
 type rat64 struct {
 	num, den int64
@@ -54,7 +60,7 @@ func (r rat64) toBig() *big.Rat {
 	if r.promoted != nil {
 		return new(big.Rat).Set(r.promoted)
 	}
-	return big.NewRat(r.num, r.den)
+	return r.setBig(new(big.Rat))
 }
 
 // bigRef returns a read-only view of r as a big.Rat for use as an operand.
@@ -63,8 +69,17 @@ func (r rat64) bigRef(scratch *big.Rat) *big.Rat {
 	if r.promoted != nil {
 		return r.promoted
 	}
-	scratch.SetFrac64(r.num, r.den)
-	return scratch
+	return r.setBig(scratch)
+}
+
+// setBig writes a fast-path value into z. The pair is already reduced, so
+// numerator and denominator are set directly (SetFrac64 would re-run a gcd).
+// SetInt64 comes first: it initialises z's denominator, which makes Denom a
+// reference rather than a copy.
+func (r rat64) setBig(z *big.Rat) *big.Rat {
+	z.SetInt64(r.num)
+	z.Denom().SetInt64(r.den)
+	return z
 }
 
 // r64FromInt returns the rat64 for an integer.
@@ -75,17 +90,19 @@ func r64FromInt(n int64) rat64 {
 	return rat64{num: n, den: 1}
 }
 
-// r64FromBig converts a big.Rat, demoting to the fast path when numerator
-// and denominator fit. The input is not retained.
-func r64FromBig(x *big.Rat) rat64 {
-	if n, d := x.Num(), x.Denom(); n.IsInt64() && d.IsInt64() {
-		ni, di := n.Int64(), d.Int64()
-		if ni != math.MinInt64 && di != math.MinInt64 {
-			// big.Rat is already normalized with a positive denominator.
-			return rat64{num: ni, den: di}
+// r64FromFrac returns the rat64 of the reduced fraction num/den (den > 0):
+// demoted to the fast path when both fit, otherwise written into fresh
+// immutable promoted storage with no second normalisation. The inputs are
+// not retained, so they may be scratch or a big.Rat's Num/Denom.
+func r64FromFrac(num, den *big.Int) rat64 {
+	if num.IsInt64() && den.IsInt64() {
+		if n, d := num.Int64(), den.Int64(); n != math.MinInt64 && d != math.MinInt64 {
+			return rat64{num: n, den: d}
 		}
 	}
-	return rat64{promoted: new(big.Rat).Set(x)}
+	z := new(big.Rat).SetInt(num)
+	z.Denom().Set(den)
+	return rat64{promoted: z}
 }
 
 // gcd64 returns the greatest common divisor of two non-negative int64s.
@@ -132,41 +149,74 @@ func absU64(a int64) uint64 {
 }
 
 // arith is the arithmetic context of one simplex instance: it owns the
-// fast-path/fallback counters and the forceBig switch the differential
-// harness uses to route every operation through big.Rat.
+// fast-path/fallback counters, the forceBig switch the differential
+// harness uses to route every operation through big.Rat, and the slow
+// path's scratch storage.
 type arith struct {
 	fastOps  int64 // operations completed entirely on the int64 path
 	bigOps   int64 // operations that touched big.Rat (promotion or fallback)
 	forceBig bool  // route everything through big.Rat (difftest A/B knob)
 
-	sx, sy, sz big.Rat // slow-path operand views and result scratch
+	sx, sy, sz big.Rat // slow-path views of fast-path operands; sy also holds inv's result
+	// Slow-path intermediates. Results are copied out into fresh storage
+	// (r64FromFrac), so these are reused by every op.
+	g1, g2, t, u, q big.Int    // gcds, exact quotients and sum terms
+	pn, pd          big.Int    // mulFrac's reduced product
+	gr              big.Int    // gcd's Euclid remainder
+	lr              [3]big.Int // lehmer's rotating remainders
+	lp              [4]big.Int // lehmer's cosequence products
+	w               big.Int    // throwaway: discarded quotients and remainders, one-word factors
 }
 
-// demoteOrCopy converts a scratch-held result into a rat64: demoted when it
-// fits int64, otherwise copied into fresh immutable promoted storage (the
-// scratch itself is reused by the next slow-path op).
-func (ar *arith) demoteOrCopy(x *big.Rat) rat64 {
-	if n, d := x.Num(), x.Denom(); n.IsInt64() && d.IsInt64() {
-		ni, di := n.Int64(), d.Int64()
-		if ni != math.MinInt64 && di != math.MinInt64 {
-			return rat64{num: ni, den: di}
-		}
+// quoExact returns a/g for a divisor g of a: a itself when g is 1, else the
+// quotient written into z.
+func (ar *arith) quoExact(z, a, g *big.Int) *big.Int {
+	if isOne(g) {
+		return a
 	}
-	return rat64{promoted: new(big.Rat).Set(x)}
+	z.QuoRem(a, g, &ar.w)
+	return z
 }
 
-// bigBin runs the big.Rat slow path for a binary operation, computing into
-// the context's scratch storage: one allocation at most (the promoted copy),
-// none when the result demotes back to int64.
-func (ar *arith) bigBin(x, y rat64, op func(z, a, b *big.Rat) *big.Rat) rat64 {
-	ar.bigOps++
-	z := op(&ar.sz, x.bigRef(&ar.sx), y.bigRef(&ar.sy))
-	return ar.demoteOrCopy(z)
+// mulFrac sets ar.pn/ar.pd to the product of two nonzero reduced fractions
+// an/ad * bn/bd as mpq_mul does: with g1 = gcd(an, bd) and g2 = gcd(bn, ad)
+// divided out first, (an/g1)(bn/g2) / ((ad/g2)(bd/g1)) is already reduced.
+func (ar *arith) mulFrac(an, ad, bn, bd *big.Int) {
+	g1 := ar.gcd(&ar.g1, an, bd)
+	g2 := ar.gcd(&ar.g2, bn, ad)
+	ar.pn.Mul(ar.quoExact(&ar.t, an, g1), ar.quoExact(&ar.u, bn, g2))
+	ar.pd.Mul(ar.quoExact(&ar.t, ad, g2), ar.quoExact(&ar.u, bd, g1))
+}
+
+// addFrac returns an/ad + bn/bd for reduced fractions as mpq_add does. With
+// d1 = gcd(ad, bd) == 1, (an*bd + bn*ad) / (ad*bd) is already reduced.
+// Otherwise t = an*(bd/d1) + bn*(ad/d1) can share only a factor of d1 with
+// the denominator, so one gcd d2 = gcd(t, d1) on the small operand d1
+// finishes the job. bn/bd may be ar.pn/ar.pd: they are read, never written.
+func (ar *arith) addFrac(an, ad, bn, bd *big.Int) rat64 {
+	d1 := ar.gcd(&ar.g1, ad, bd)
+	if isOne(d1) {
+		t := ar.t.Mul(an, bd)
+		t.Add(t, ar.u.Mul(bn, ad))
+		if t.Sign() == 0 {
+			return rat64{num: 0, den: 1}
+		}
+		return r64FromFrac(t, ar.u.Mul(ad, bd))
+	}
+	t := ar.t.Mul(an, ar.quoExact(&ar.q, bd, d1))
+	ad1 := ar.quoExact(&ar.g2, ad, d1)
+	t.Add(t, ar.u.Mul(bn, ad1))
+	if t.Sign() == 0 {
+		return rat64{num: 0, den: 1}
+	}
+	d2 := ar.gcd(&ar.q, t, d1)
+	num := ar.quoExact(&ar.u, t, d2)
+	den := ar.q.Mul(ad1, ar.quoExact(&ar.g1, bd, d2))
+	return r64FromFrac(num, den)
 }
 
 // addMul returns x + f*y as one fused operation: the hot inner step of row
-// merges and assignment updates. On the slow path the product is computed
-// into scratch so the whole op allocates at most once.
+// merges and assignment updates.
 func (ar *arith) addMul(x, f, y rat64) rat64 {
 	if x.promoted == nil && f.promoted == nil && y.promoted == nil && !ar.forceBig {
 		if f.num == 0 || y.num == 0 {
@@ -174,7 +224,7 @@ func (ar *arith) addMul(x, f, y rat64) rat64 {
 			return x
 		}
 		// Cross-reduce the product, then a gcd-reduced add; any overflow
-		// falls through to the fused big.Rat path.
+		// falls through to the slow path.
 		g1 := gcd64(absI64(f.num), y.den)
 		g2 := gcd64(absI64(y.num), f.den)
 		pn, ok1 := mulChecked(f.num/g1, y.num/g2)
@@ -200,39 +250,53 @@ func (ar *arith) addMul(x, f, y rat64) rat64 {
 			}
 		}
 	}
+	// Slow path: the product as mpq_mul, then the sum as mpq_add.
 	ar.bigOps++
-	z := &ar.sz
-	z.Mul(f.bigRef(&ar.sx), y.bigRef(&ar.sy))
-	z.Add(z, x.bigRef(&ar.sx))
-	return ar.demoteOrCopy(z)
+	if f.Sign() == 0 || y.Sign() == 0 {
+		return x
+	}
+	fv, yv := f.bigRef(&ar.sy), y.bigRef(&ar.sz)
+	ar.mulFrac(fv.Num(), fv.Denom(), yv.Num(), yv.Denom())
+	if x.Sign() == 0 {
+		return r64FromFrac(&ar.pn, &ar.pd)
+	}
+	xv := x.bigRef(&ar.sx)
+	return ar.addFrac(xv.Num(), xv.Denom(), &ar.pn, &ar.pd)
 }
 
 // add returns x + y.
 func (ar *arith) add(x, y rat64) rat64 {
-	if x.promoted != nil || y.promoted != nil || ar.forceBig {
-		return ar.bigBin(x, y, (*big.Rat).Add)
-	}
-	// Knuth 4.5.1: reduce by gcd of the denominators first so intermediates
-	// stay as small as possible.
-	g := gcd64(x.den, y.den)
-	db, dd := x.den/g, y.den/g
-	t1, ok1 := mulChecked(x.num, dd)
-	t2, ok2 := mulChecked(y.num, db)
-	t, ok3 := addChecked(t1, t2)
-	if ok1 && ok2 && ok3 {
-		g2 := gcd64(absI64(t), g)
-		if g2 == 0 {
-			g2 = 1
-		}
-		if den, ok := mulChecked(db, y.den/g2); ok {
-			ar.fastOps++
-			if t == 0 {
-				return rat64{num: 0, den: 1}
+	if x.promoted == nil && y.promoted == nil && !ar.forceBig {
+		// Knuth 4.5.1: reduce by gcd of the denominators first so
+		// intermediates stay as small as possible.
+		g := gcd64(x.den, y.den)
+		db, dd := x.den/g, y.den/g
+		t1, ok1 := mulChecked(x.num, dd)
+		t2, ok2 := mulChecked(y.num, db)
+		t, ok3 := addChecked(t1, t2)
+		if ok1 && ok2 && ok3 {
+			g2 := gcd64(absI64(t), g)
+			if g2 == 0 {
+				g2 = 1
 			}
-			return rat64{num: t / g2, den: den}
+			if den, ok := mulChecked(db, y.den/g2); ok {
+				ar.fastOps++
+				if t == 0 {
+					return rat64{num: 0, den: 1}
+				}
+				return rat64{num: t / g2, den: den}
+			}
 		}
 	}
-	return ar.bigBin(x, y, (*big.Rat).Add)
+	ar.bigOps++
+	switch {
+	case x.Sign() == 0:
+		return y
+	case y.Sign() == 0:
+		return x
+	}
+	xv, yv := x.bigRef(&ar.sx), y.bigRef(&ar.sy)
+	return ar.addFrac(xv.Num(), xv.Denom(), yv.Num(), yv.Denom())
 }
 
 // sub returns x - y.
@@ -259,23 +323,28 @@ func (ar *arith) abs(x rat64) rat64 {
 
 // mul returns x * y.
 func (ar *arith) mul(x, y rat64) rat64 {
-	if x.promoted != nil || y.promoted != nil || ar.forceBig {
-		return ar.bigBin(x, y, (*big.Rat).Mul)
+	if x.promoted == nil && y.promoted == nil && !ar.forceBig {
+		if x.num == 0 || y.num == 0 {
+			ar.fastOps++
+			return rat64{num: 0, den: 1}
+		}
+		// Cross-reduce before multiplying (keeps products minimal).
+		g1 := gcd64(absI64(x.num), y.den)
+		g2 := gcd64(absI64(y.num), x.den)
+		n, ok1 := mulChecked(x.num/g1, y.num/g2)
+		d, ok2 := mulChecked(x.den/g2, y.den/g1)
+		if ok1 && ok2 {
+			ar.fastOps++
+			return rat64{num: n, den: d}
+		}
 	}
-	if x.num == 0 || y.num == 0 {
-		ar.fastOps++
+	ar.bigOps++
+	if x.Sign() == 0 || y.Sign() == 0 {
 		return rat64{num: 0, den: 1}
 	}
-	// Cross-reduce before multiplying (keeps products minimal).
-	g1 := gcd64(absI64(x.num), y.den)
-	g2 := gcd64(absI64(y.num), x.den)
-	n, ok1 := mulChecked(x.num/g1, y.num/g2)
-	d, ok2 := mulChecked(x.den/g2, y.den/g1)
-	if ok1 && ok2 {
-		ar.fastOps++
-		return rat64{num: n, den: d}
-	}
-	return ar.bigBin(x, y, (*big.Rat).Mul)
+	xv, yv := x.bigRef(&ar.sx), y.bigRef(&ar.sy)
+	ar.mulFrac(xv.Num(), xv.Denom(), yv.Num(), yv.Denom())
+	return r64FromFrac(&ar.pn, &ar.pd)
 }
 
 // div returns x / y; y must be nonzero.
@@ -287,7 +356,8 @@ func (ar *arith) div(x, y rat64) rat64 {
 func (ar *arith) inv(x rat64) rat64 {
 	if x.promoted != nil || ar.forceBig {
 		ar.bigOps++
-		return ar.demoteOrCopy(ar.sz.Inv(x.bigRef(&ar.sx)))
+		z := ar.sy.Inv(x.bigRef(&ar.sx))
+		return r64FromFrac(z.Num(), z.Denom())
 	}
 	ar.fastOps++
 	if x.num < 0 {

@@ -193,7 +193,7 @@ func (s *simplex) addSlack(terms []LinTerm) int {
 	one := r64FromInt(1)
 	val := d64FromInt(0)
 	for _, t := range terms {
-		c := r64FromBig(t.Coeff)
+		c := r64FromFrac(t.Coeff.Num(), t.Coeff.Denom())
 		if s.basic[t.Var] {
 			row := &s.rows[t.Var]
 			for i, j := range row.cols {

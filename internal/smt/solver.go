@@ -95,10 +95,11 @@ type Solver struct {
 	tseitinCache map[*Formula]literal
 
 	// Theory-propagation index: the simplex variables that carry atoms, in
-	// first-use order (deterministic iteration), and the SAT variables of the
-	// atoms on each.
+	// first-use order (deterministic iteration), and the atoms on each,
+	// indexed by simplex variable. Slices, not maps: every propagation round
+	// reads them for every slack.
 	atomSlacks   []int
-	atomsBySlack map[int][]int
+	atomsBySlack [][]atomRef
 
 	theoryHead int // trail index up to which bounds were sent to the theory
 
@@ -205,7 +206,6 @@ func NewSolver() *Solver {
 		atomVars:     make(map[string]int),
 		formSlacks:   make(map[string]int),
 		tseitinCache: make(map[*Formula]literal),
-		atomsBySlack: make(map[int][]int),
 		slackDefs:    make(map[int][]LinTerm),
 	}
 	if certifyDefault.Load() {
